@@ -47,6 +47,9 @@ def _read_graph(spec: str) -> Graph:
     path = Path(spec)
     if path.exists():
         return parse_graph_text(path.read_text())
+    # '.' and '/' lie outside the graph6 alphabet: such a spec names a file
+    if "." in spec or "/" in spec:
+        raise ValueError(f"no such input file: {spec}")
     # not a file: treat as a literal graph6 string
     return parse_graph_text(spec)
 

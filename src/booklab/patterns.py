@@ -19,10 +19,9 @@ from .graphs import (
     VertexSet,
     clique_mask_list,
     complete_graph,
-    contains_subgraph,
+    enumerate_clique_masks,
     find_subgraph,
     from_edges,
-    has_clique,
 )
 
 #: Book detection materializes the clique list; beyond this it refuses.
@@ -54,15 +53,31 @@ class CliqueWitness:
     overlap: int
 
 
+def _is_complete(p: Graph) -> bool:
+    return p.edge_count() == p.n * (p.n - 1) // 2
+
+
 @dataclass(frozen=True)
 class ForbiddenFamily:
+    """Books and pattern graphs; the pattern split is derived once, in family order."""
+
     books: tuple[BookSpec, ...] = ()
     patterns: tuple[Graph, ...] = ()
+    #: distinct sizes m of the K(m) patterns
+    complete_sizes: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    #: every pattern that is not a complete graph
+    noncomplete: tuple[Graph, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for p in self.patterns:
             if p.n < 1:
                 raise ValueError("pattern graphs must have at least one vertex")
+        complete = [_is_complete(p) for p in self.patterns]
+        sizes = dict.fromkeys(p.n for p, c in zip(self.patterns, complete) if c)
+        object.__setattr__(self, "complete_sizes", tuple(sizes))
+        object.__setattr__(
+            self, "noncomplete", tuple(p for p, c in zip(self.patterns, complete) if not c)
+        )
 
     def is_empty(self) -> bool:
         return not self.books and not self.patterns
@@ -136,24 +151,33 @@ def book_violation(
     return CliqueWitness(VertexSet(masks[i]), VertexSet(masks[j]), spec.s)
 
 
-def _is_complete(p: Graph) -> bool:
-    return p.edge_count() == p.n * (p.n - 1) // 2
+def first_violation(
+    g: Graph, family: ForbiddenFamily, budget: int = CLIQUE_BUDGET
+) -> int | None:
+    """Vertex mask of the first violating structure in g; None when g is free.
+
+    Cheap checks come first: the first clique of the first listed K(m) that
+    g contains, then the first witness of each book in turn, then the first
+    embedding of each other pattern, all in family order.
+    """
+    for m in family.complete_sizes:
+        clique = next(enumerate_clique_masks(g, m), None)
+        if clique is not None:
+            return clique
+    for spec in family.books:
+        w = book_violation(g, spec, budget)
+        if w is not None:
+            return w.first.bits | w.second.bits
+    for p in family.noncomplete:
+        image = find_subgraph(g, p)
+        if image is not None:
+            return sum(1 << v for v in image)
+    return None
 
 
 def is_free(g: Graph, family: ForbiddenFamily, budget: int = CLIQUE_BUDGET) -> bool:
     """True when g avoids every book and every pattern in the family."""
-    # cheap complete-pattern checks first, then books, then general patterns
-    for p in family.patterns:
-        if _is_complete(p):
-            if p.n <= g.n and has_clique(g, p.n):
-                return False
-    for spec in family.books:
-        if book_violation(g, spec, budget) is not None:
-            return False
-    for p in family.patterns:
-        if not _is_complete(p) and contains_subgraph(g, p):
-            return False
-    return True
+    return first_violation(g, family, budget) is None
 
 
 # ---------------------------------------------------------------------------

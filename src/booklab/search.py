@@ -21,13 +21,13 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
+from . import patterns
 from .canonical import CanonicalForm, canonical_form
 from .errors import ResourceLimitError
 from .graphs import (
     Graph,
     _bits,
     clique_mask_list,
-    contains_subgraph_at,
     count_cliques,
     empty_graph,
     enumerate_clique_masks,
@@ -35,13 +35,7 @@ from .graphs import (
     from_mask,
     has_clique,
 )
-from .patterns import (
-    ForbiddenFamily,
-    _is_complete,
-    book_violation,
-    family_signature,
-    is_free,
-)
+from .patterns import ForbiddenFamily, family_signature, first_violation, is_free
 
 LABELED_DEFAULT_CAP = 7
 CANONICAL_DEFAULT_CAP = 10
@@ -69,19 +63,6 @@ class SearchReport:
     history: tuple[int, ...] = ()
 
 
-def _family_context(family: ForbiddenFamily):
-    complete_sizes = sorted({p.n for p in family.patterns if _is_complete(p)})
-    noncomplete = [p for p in family.patterns if not _is_complete(p)]
-    book_rs = sorted({b.r for b in family.books})
-    return complete_sizes, noncomplete, book_rs
-
-
-def _degenerate_report(n: int, r: int, family: ForbiddenFamily, engine: str) -> SearchReport:
-    eg = empty_graph(n)
-    wit = (canonical_form(eg),) if is_free(eg, family) else ()
-    return SearchReport(n, r, family, 0, wit, 0, engine, True)
-
-
 def _finish_witnesses(
     n: int,
     r: int,
@@ -95,11 +76,9 @@ def _finish_witnesses(
     if best <= 0:
         # every free graph attains 0; report the edgeless one, or nothing if
         # even that is forbidden (a family containing K(1) forbids everything)
-        return SearchReport(
-            n, r, family, 0,
-            (canonical_form(empty_graph(n)),) if is_free(empty_graph(n), family) else (),
-            examined, engine, exhaustive,
-        )
+        eg = empty_graph(n)
+        wit = (canonical_form(eg),) if is_free(eg, family) else ()
+        return SearchReport(n, r, family, 0, wit, examined, engine, exhaustive)
     witnesses = tuple(sorted(wit_keys, key=lambda cf: (cf.n, cf.key)))
     return SearchReport(n, r, family, best, witnesses, examined, engine, exhaustive)
 
@@ -147,7 +126,7 @@ def brute_force_labeled(
         )
     engine = "labeled-brute-force"
     if n < r:
-        return _degenerate_report(n, r, family, engine)
+        return _finish_witnesses(n, r, family, 0, set(), 0, engine, True)
     deadline = None if max_seconds is None else time.monotonic() + max_seconds
     total = 1 << (n * (n - 1) // 2)
     if jobs <= 1 or total < 4096:
@@ -180,14 +159,36 @@ def _child_graph(parent: Graph, smask: int) -> Graph:
     return Graph(k + 1, tuple(rows))
 
 
+def _overlap_hit(news: list[int], olds: list[int], s: int) -> bool:
+    """Does a new clique share exactly s vertices with an old one or another new one?"""
+    for a in news:
+        for b in olds:
+            if (a & b).bit_count() == s:
+                return True
+    for i, a in enumerate(news):
+        for b in news[i + 1 :]:
+            if (a & b).bit_count() == s:
+                return True
+    return False
+
+
+def _pattern_through(g: Graph, noncomplete, touched) -> bool:
+    """Does some pattern embed in g with one of its vertices on a touched vertex?"""
+    for p in noncomplete:
+        if p.n <= g.n:
+            for w in touched:
+                for q in range(p.n):
+                    if find_subgraph(g, p, pin=(q, w)) is not None:
+                        return True
+    return False
+
+
 def _child_is_free(
     parent: Graph,
     parent_cliques: dict[int, list[int]],
     child: Graph,
     smask: int,
     family: ForbiddenFamily,
-    complete_sizes: list[int],
-    noncomplete: list[Graph],
 ) -> bool:
     """Freeness of parent + one vertex, checking only structures through it.
 
@@ -196,44 +197,34 @@ def _child_is_free(
     through the new vertex is a K_{m-1} inside its neighborhood.
     """
     k = parent.n
-    for m in complete_sizes:
+    for m in family.complete_sizes:
         if has_clique(parent, m - 1, within=smask):
             return False
     newbit = 1 << k
     for spec in family.books:
-        olds = parent_cliques[spec.r]
         news = [c | newbit for c in enumerate_clique_masks(parent, spec.r - 1, within=smask)]
-        if not news:
-            continue
-        s = spec.s
-        for a in news:
-            for b in olds:
-                if (a & b).bit_count() == s:
-                    return False
-        for i, a in enumerate(news):
-            for b in news[i + 1 :]:
-                if (a & b).bit_count() == s:
-                    return False
-    for p in noncomplete:
-        if p.n <= child.n and contains_subgraph_at(child, p, k):
+        if news and _overlap_hit(news, parent_cliques[spec.r], spec.s):
             return False
-    return True
+    return not _pattern_through(child, family.noncomplete, (k,))
 
 
-def _extend_parent(parent: Graph, family, complete_sizes, noncomplete, book_rs):
+def _extend_parent(parent: Graph, family: ForbiddenFamily):
     """All free children of one parent, as (canonical form, child) pairs."""
     k = parent.n
-    parent_cliques = {rr: clique_mask_list(parent, rr) for rr in book_rs}
+    budget = patterns.CLIQUE_BUDGET
+    parent_cliques = {
+        rr: clique_mask_list(parent, rr, budget) for rr in {b.r for b in family.books}
+    }
     out = []
     for smask in range(1 << k):
         child = _child_graph(parent, smask)
-        if _child_is_free(parent, parent_cliques, child, smask, family, complete_sizes, noncomplete):
+        if _child_is_free(parent, parent_cliques, child, smask, family):
             out.append((canonical_form(child), child))
     return out
 
 
 def _canonical_shard(args):
-    parents, family, complete_sizes, noncomplete, book_rs, deadline = args
+    parents, family, deadline = args
     found: dict[CanonicalForm, Graph] = {}
     examined = 0
     completed = True
@@ -242,7 +233,7 @@ def _canonical_shard(args):
             completed = False
             break
         examined += 1 << parent.n
-        for cf, child in _extend_parent(parent, family, complete_sizes, noncomplete, book_rs):
+        for cf, child in _extend_parent(parent, family):
             if cf not in found:
                 found[cf] = child
     return found, examined, completed
@@ -264,7 +255,6 @@ def _generation_levels(family: ForbiddenFamily, n: int, deadline, jobs: int):
     are cached, so a deadline abort never poisons the cache.
     """
     sig = family_signature(family)
-    complete_sizes, noncomplete, book_rs = _family_context(family)
     if sig not in _GEN_CACHE:
         base = empty_graph(0)
         lvl0 = [(canonical_form(base), base)] if is_free(base, family) else []
@@ -273,38 +263,26 @@ def _generation_levels(family: ForbiddenFamily, n: int, deadline, jobs: int):
     while len(levels) <= n:
         k = len(levels) - 1
         parents = [g for _, g in levels[k]]
-        if jobs > 1 and len(parents) >= 4 * jobs and k >= 5:
-            step = -(-len(parents) // jobs)
-            shards = [
-                (parents[lo : lo + step], family, complete_sizes, noncomplete, book_rs, deadline)
-                for lo in range(0, len(parents), step)
-            ]
-            merged: dict[CanonicalForm, Graph] = {}
-            examined = 0
-            completed = True
+        sharded = jobs > 1 and len(parents) >= 4 * jobs and k >= 5
+        step = -(-len(parents) // jobs) if sharded else max(1, len(parents))
+        shards = [(parents[lo : lo + step], family, deadline) for lo in range(0, len(parents), step)]
+        merged: dict[CanonicalForm, Graph] = {}
+        examined = 0
+        completed = True
+        if sharded:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for found, ex, comp in pool.map(_canonical_shard, shards):
-                    examined += ex
-                    completed &= comp
-                    for cf, g in found.items():
-                        merged.setdefault(cf, g)
-            if not completed:
-                return levels, examined_per_level, False
-            levels.append(sorted(merged.items(), key=lambda kv: kv[0].key))
-            examined_per_level.append(examined)
+                results = list(pool.map(_canonical_shard, shards))
         else:
-            found: dict[CanonicalForm, Graph] = {}
-            examined = 0
-            for parent in parents:
-                if deadline is not None and time.monotonic() > deadline:
-                    return levels, examined_per_level, False
-                examined += 1 << parent.n
-                for cf, child in _extend_parent(
-                    parent, family, complete_sizes, noncomplete, book_rs
-                ):
-                    found.setdefault(cf, child)
-            levels.append(sorted(found.items(), key=lambda kv: kv[0].key))
-            examined_per_level.append(examined)
+            results = map(_canonical_shard, shards)
+        for found, ex, comp in results:
+            examined += ex
+            completed &= comp
+            for cf, g in found.items():
+                merged.setdefault(cf, g)
+        if not completed:
+            return levels, examined_per_level, False
+        levels.append(sorted(merged.items(), key=lambda kv: kv[0].key))
+        examined_per_level.append(examined)
     return levels, examined_per_level, True
 
 
@@ -325,7 +303,7 @@ def canonical_generation(
         )
     engine = "canonical-generation"
     if n < r:
-        return _degenerate_report(n, r, family, engine)
+        return _finish_witnesses(n, r, family, 0, set(), 0, engine, True)
     deadline = None if max_seconds is None else time.monotonic() + max_seconds
     levels, examined_per_level, completed = _generation_levels(family, n, deadline, jobs)
     examined = sum(examined_per_level[: n + 1])
@@ -412,57 +390,22 @@ def clone_move(g: Graph, u: int, v: int) -> Graph:
     return Graph(g.n, tuple(rows))
 
 
-def _single_clone_free(cand, u, v, family, cliques_by_r, noncomplete):
-    """Family check for cand = clone_move(g, u, v), touching only structures
-    through u.  New complete subgraphs are impossible (they would pull back
-    to the pre-move graph through v), so K(m) patterns need no check here."""
-    ubit, vbit = 1 << u, 1 << v
+def _clone_free(cand, src, targets, family, cliques_by_r):
+    """Family check for cand, made by cloning src over each target (all non-edges).
+
+    Only structures through a target are new.  New complete subgraphs are
+    impossible (they would pull back to the pre-move graph through src), so
+    K(m) patterns need no check here.
+    """
+    sbit = 1 << src
+    tmask = sum(1 << t for t in targets)
     for spec in family.books:
         cl = cliques_by_r[spec.r]
-        news = [(c ^ vbit) | ubit for c in cl if c & vbit]
-        if not news:
-            continue
-        olds = [c for c in cl if not c & ubit]
-        s = spec.s
-        for a in news:
-            for b in olds:
-                if (a & b).bit_count() == s:
-                    return False
-        for i, a in enumerate(news):
-            for b in news[i + 1 :]:
-                if (a & b).bit_count() == s:
-                    return False
-    for p in noncomplete:
-        if p.n <= cand.n and contains_subgraph_at(cand, p, u):
+        scl = [c for c in cl if c & sbit]
+        news = [(c ^ sbit) | (1 << t) for t in targets for c in scl]
+        if news and _overlap_hit(news, [c for c in cl if not c & tmask], spec.s):
             return False
-    return True
-
-
-def _paired_clone_free(cand, x, z, y, family, cliques_by_r, noncomplete):
-    """Family check for the paired clone of y over x and z (xy, zy non-edges)."""
-    xbit, zbit, ybit = 1 << x, 1 << z, 1 << y
-    for spec in family.books:
-        cl = cliques_by_r[spec.r]
-        ycl = [c for c in cl if c & ybit]
-        news = [(c ^ ybit) | xbit for c in ycl] + [(c ^ ybit) | zbit for c in ycl]
-        if not news:
-            continue
-        olds = [c for c in cl if not c & (xbit | zbit)]
-        s = spec.s
-        for a in news:
-            for b in olds:
-                if (a & b).bit_count() == s:
-                    return False
-        for i, a in enumerate(news):
-            for b in news[i + 1 :]:
-                if (a & b).bit_count() == s:
-                    return False
-    for p in noncomplete:
-        if p.n <= cand.n and (
-            contains_subgraph_at(cand, p, x) or contains_subgraph_at(cand, p, z)
-        ):
-            return False
-    return True
+    return not _pattern_through(cand, family.noncomplete, targets)
 
 
 def symmetrize(
@@ -480,8 +423,8 @@ def symmetrize(
     if not is_free(g, family):
         raise ValueError("symmetrize requires a family-free starting graph")
     rng = random.Random(seed) if seed is not None else None
-    _, noncomplete, book_rs = _family_context(family)
-    needed_rs = sorted(set(book_rs) | {r})
+    needed_rs = {b.r for b in family.books} | {r}
+    budget = patterns.CLIQUE_BUDGET
     n = g.n
     full = (1 << n) - 1
 
@@ -490,7 +433,7 @@ def symmetrize(
     examined = 0
 
     while True:
-        cliques_by_r = {rr: clique_mask_list(cur, rr) for rr in needed_rs}
+        cliques_by_r = {rr: clique_mask_list(cur, rr, budget) for rr in needed_rs}
         target = cliques_by_r[r]
         kcount = [0] * n
         for c in target:
@@ -511,7 +454,7 @@ def symmetrize(
         for u, v in singles:
             examined += 1
             cand = clone_move(cur, u, v)
-            if _single_clone_free(cand, u, v, family, cliques_by_r, noncomplete):
+            if _clone_free(cand, v, (u,), family, cliques_by_r):
                 chosen = cand
                 break
 
@@ -544,7 +487,7 @@ def symmetrize(
             for y, x, z, gain in triples:
                 examined += 1
                 cand = clone_move(clone_move(cur, z, y), x, y)
-                if _paired_clone_free(cand, x, z, y, family, cliques_by_r, noncomplete):
+                if _clone_free(cand, y, (x, z), family, cliques_by_r):
                     chosen = cand
                     break
 
@@ -582,7 +525,7 @@ def random_free_graph(n: int, family: ForbiddenFamily, rng: random.Random, p: fl
             mask |= 1 << k
     g = from_mask(n, mask)
     while True:
-        span = _violation_span(g, family)
+        span = first_violation(g, family)
         if span is None:
             return g
         members = list(_bits(span))
@@ -594,25 +537,3 @@ def random_free_graph(n: int, family: ForbiddenFamily, rng: random.Random, p: fl
         rows[u] &= ~(1 << v)
         rows[v] &= ~(1 << u)
         g = Graph(n, tuple(rows))
-
-
-def _violation_span(g: Graph, family: ForbiddenFamily) -> int | None:
-    """Vertex mask of some violating structure, or None if g is free."""
-    for p in family.patterns:
-        if _is_complete(p):
-            if p.n <= g.n:
-                for c in enumerate_clique_masks(g, p.n):
-                    return c
-    for spec in family.books:
-        w = book_violation(g, spec)
-        if w is not None:
-            return w.first.bits | w.second.bits
-    for p in family.patterns:
-        if not _is_complete(p):
-            image = find_subgraph(g, p)
-            if image is not None:
-                span = 0
-                for w in image:
-                    span |= 1 << w
-                return span
-    return None

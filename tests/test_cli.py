@@ -53,6 +53,13 @@ def test_free_reports_pattern_violation(capsys):
     assert len(data["violation"]["vertices"]) == 5
 
 
+def test_free_reports_books_before_patterns(capsys):
+    data = run_json(capsys, "free", "--input", K6, "--forbid", "K(5),B(3,1)")
+    assert data["violation"] == {
+        "kind": "book", "r": 3, "s": 1, "first": [0, 1, 2], "second": [0, 3, 4], "overlap": 1,
+    }
+
+
 def test_free_accepts(capsys):
     g6 = graph6_encode(turan_graph(8, 2))
     data = run_json(capsys, "free", "--input", g6, "--forbid", "B(3,1)")
@@ -199,6 +206,12 @@ def test_exit_codes(capsys):
     assert main(["exact", "--n", "9", "--r", "3", "--forbid", "B(3,1)",
                  "--engine", "labeled"]) == 3
     capsys.readouterr()
+
+
+def test_missing_input_file_is_exit_2(capsys, tmp_path):
+    for spec in (str(tmp_path / "absent.g6"), "absent.g6", "graphs/k6"):
+        assert main(["count", "--input", spec, "--r", "3"]) == 2
+        assert f"no such input file: {spec}" in capsys.readouterr().err
 
 
 def test_usage_error_is_exit_2():

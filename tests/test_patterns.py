@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 
 import pytest
@@ -26,13 +27,14 @@ from booklab.patterns import (
     family_signature,
     family_to_text,
     find_pattern_violation,
+    first_violation,
     h1_graph,
     h2_graph,
     is_free,
     parse_family,
 )
 
-from conftest import graphs
+from conftest import graphs, oracle_contains_subgraph
 
 
 def test_book_spec_validation():
@@ -113,6 +115,55 @@ def test_is_free_examples():
     assert not is_free(complete_graph(5), parse_family("K(5)"))
     assert is_free(complete_graph(4), parse_family("K(5)"))
     assert is_free(empty_graph(0), parse_family("B(3,1),H1,K(5)"))
+
+
+# a book, a K(m) and a non-complete pattern; the second lists the pattern first
+_MIXED_FAMILIES = [
+    parse_family("B(3,1),K(4),H2"),
+    ForbiddenFamily((BookSpec(3, 2),), (cycle_graph(5), complete_graph(4))),
+]
+
+
+def _oracle_is_free(g, family):
+    """Books by overlaps of itertools-listed cliques, patterns by brute force."""
+    for spec in family.books:
+        cliques = [
+            set(c)
+            for c in itertools.combinations(range(g.n), spec.r)
+            if all(g.has_edge(a, b) for a, b in itertools.combinations(c, 2))
+        ]
+        if any(len(a & b) == spec.s for a, b in itertools.combinations(cliques, 2)):
+            return False
+    return not any(oracle_contains_subgraph(g, p) for p in family.patterns)
+
+
+def _induced(g, mask):
+    vs = [v for v in range(g.n) if (mask >> v) & 1]
+    index = {v: i for i, v in enumerate(vs)}
+    return from_edges(len(vs), [(index[u], index[v]) for u, v in g.edges()
+                                if u in index and v in index])
+
+
+@given(graphs(max_n=7), st.sampled_from(_MIXED_FAMILIES))
+@settings(max_examples=150)
+def test_is_free_matches_oracle_and_violation_is_real(g, fam):
+    assert is_free(g, fam) == _oracle_is_free(g, fam)
+    mask = first_violation(g, fam)
+    if mask is not None:
+        # the structure the mask spans violates the family on its own
+        assert not _oracle_is_free(_induced(g, mask), fam)
+
+
+def test_family_parts_are_derived_once_in_family_order():
+    fam = parse_family("K(5),H1,K(4),B(3,1),K(5)")
+    assert fam.complete_sizes == (5, 4)
+    assert fam.noncomplete == (h1_graph(),)
+    same = ForbiddenFamily(fam.books, fam.patterns)
+    assert same == fam and hash(same) == hash(fam)
+    assert pickle.loads(pickle.dumps(fam)).complete_sizes == (5, 4)
+    assert "complete_sizes" not in repr(fam)
+    # K(5) is listed before K(4), so its clique is the first violation
+    assert first_violation(complete_graph(6), fam) == 0b11111
 
 
 def test_fixed_patterns_structure():

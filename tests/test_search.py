@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from booklab import patterns
 from booklab.canonical import canonical_form
 from booklab.errors import ResourceLimitError
+from booklab.formats import graph6_encode
 from booklab.graphs import (
     complete_graph,
     count_cliques,
@@ -217,3 +219,24 @@ def test_random_free_graph_rejects_unfixable_family():
     fam = parse_family("K(1)")  # a single vertex can never be repaired away
     with pytest.raises(ValueError):
         random_free_graph(3, fam, random.Random(0))
+
+
+def test_random_free_graph_repairs_complete_patterns_in_family_order():
+    # K(5) is listed before K(4), so each repair step deletes an edge of the
+    # first K5 while one is left; checking K(4) first yields other graphs
+    fam = parse_family("K(5),K(4),H1")
+    recorded = {(12, 0): "KMbfo]|LsDjJ", (12, 1): "KhuluCpe^Lir", (14, 2): "MCG_@Vmz`bxDxOtr_"}
+    for (n, seed), g6 in recorded.items():
+        assert graph6_encode(random_free_graph(n, fam, random.Random(seed), p=0.7)) == g6
+
+
+def test_clique_budget_bounds_climb_and_generation(monkeypatch):
+    # K4 has four triangles and is B(3,1)-free: past a budget of two, both
+    # the climb and the extension of a K4 parent must refuse
+    monkeypatch.setattr(patterns, "CLIQUE_BUDGET", 2)
+    with pytest.raises(ResourceLimitError):
+        symmetrize(complete_graph(4), 3, BOWTIE_FREE)
+    clear_generation_cache()
+    with pytest.raises(ResourceLimitError):
+        canonical_generation(6, 3, BOWTIE_FREE)
+    clear_generation_cache()
