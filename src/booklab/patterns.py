@@ -10,13 +10,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .canonical import canonical_form
 from .errors import ResourceLimitError
 from .graphs import (
     Graph,
     VertexSet,
+    _bits,
     clique_mask_list,
     complete_graph,
     enumerate_clique_masks,
@@ -98,53 +97,35 @@ def book_graph(spec: BookSpec) -> Graph:
     return from_edges(n, edges)
 
 
-def _pair_scan_python(masks: list[int], s: int) -> tuple[int, int] | None:
-    for i in range(len(masks)):
-        mi = masks[i]
-        for j in range(i + 1, len(masks)):
-            if (mi & masks[j]).bit_count() == s:
-                return i, j
-    return None
-
-
-def _pair_scan_numpy(masks: list[int], s: int, n: int) -> tuple[int, int] | None:
-    """Blockwise vectorized scan; same (i, j) row-major order as the loop."""
-    words = max(1, (n + 63) // 64)
-    m = len(masks)
-    arr = np.empty((m, words), dtype=np.uint64)
-    for i, mask in enumerate(masks):
-        for w in range(words):
-            arr[i, w] = (mask >> (64 * w)) & 0xFFFFFFFFFFFFFFFF
-    block = max(1, (1 << 22) // max(1, m * words))
-    for lo in range(0, m, block):
-        hi = min(lo + block, m)
-        inter = np.bitwise_count(arr[lo:hi, None, :] & arr[None, :, :]).sum(axis=2)
-        cols = np.arange(m)
-        hit = (inter == s) & (cols[None, :] > np.arange(lo, hi)[:, None])
-        if hit.any():
-            i_off, j = np.argwhere(hit)[0]
-            return lo + int(i_off), int(j)
-    return None
-
-
-_NUMPY_SCAN_THRESHOLD = 1500
-
-
 def book_violation(
-    g: Graph, spec: BookSpec, budget: int = CLIQUE_BUDGET
+    g: Graph, spec: BookSpec, budget: int | None = None
 ) -> CliqueWitness | None:
     """First pair of r-cliques sharing exactly s vertices, in a fixed scan order.
 
-    Cliques are enumerated lexicographically and pairs scanned row-major, so
-    the witness is deterministic.  Raises ResourceLimitError past the budget.
+    Cliques are enumerated lexicographically and the first pair (i, j) in
+    row-major order is returned, so the witness is deterministic.  One pass
+    over j keeps, per vertex, the bitset of earlier cliques holding it;
+    at[t] collects the earlier cliques sharing at least t vertices with
+    clique j.  Raises ResourceLimitError past the budget (default
+    CLIQUE_BUDGET, read at call time).
     """
-    masks = clique_mask_list(g, spec.r, budget)
-    if len(masks) < 2:
-        return None
-    if len(masks) >= _NUMPY_SCAN_THRESHOLD:
-        hit = _pair_scan_numpy(masks, spec.s, g.n)
-    else:
-        hit = _pair_scan_python(masks, spec.s)
+    masks = clique_mask_list(g, spec.r, CLIQUE_BUDGET if budget is None else budget)
+    s = spec.s
+    cols = [0] * g.n
+    hit = None
+    for j, cj in enumerate(masks):
+        # after a hit (i, j'), only a pair with a smaller i comes earlier
+        at = [(1 << (j if hit is None else hit[0])) - 1] + [0] * (s + 1)
+        for v in _bits(cj):
+            col = cols[v]
+            for t in range(s + 1, 0, -1):
+                at[t] |= at[t - 1] & col
+            cols[v] = col | (1 << j)
+        exact = at[s] & ~at[s + 1]
+        if exact:
+            hit = ((exact & -exact).bit_length() - 1, j)
+            if hit[0] == 0:
+                break
     if hit is None:
         return None
     i, j = hit
@@ -152,7 +133,7 @@ def book_violation(
 
 
 def first_violation(
-    g: Graph, family: ForbiddenFamily, budget: int = CLIQUE_BUDGET
+    g: Graph, family: ForbiddenFamily, budget: int | None = None
 ) -> int | None:
     """Vertex mask of the first violating structure in g; None when g is free.
 
@@ -175,7 +156,7 @@ def first_violation(
     return None
 
 
-def is_free(g: Graph, family: ForbiddenFamily, budget: int = CLIQUE_BUDGET) -> bool:
+def is_free(g: Graph, family: ForbiddenFamily, budget: int | None = None) -> bool:
     """True when g avoids every book and every pattern in the family."""
     return first_violation(g, family, budget) is None
 

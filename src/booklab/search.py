@@ -252,7 +252,8 @@ def _generation_levels(family: ForbiddenFamily, n: int, deadline, jobs: int):
     """Grow cached levels of free representatives up to n vertices.
 
     Returns (levels, candidate_counts, completed).  Only fully built levels
-    are cached, so a deadline abort never poisons the cache.
+    are cached, so a deadline abort never poisons the cache; the level it
+    cut short is returned, with its candidate count, after the cached ones.
     """
     sig = family_signature(family)
     if sig not in _GEN_CACHE:
@@ -279,9 +280,10 @@ def _generation_levels(family: ForbiddenFamily, n: int, deadline, jobs: int):
             completed &= comp
             for cf, g in found.items():
                 merged.setdefault(cf, g)
+        level = sorted(merged.items(), key=lambda kv: kv[0].key)
         if not completed:
-            return levels, examined_per_level, False
-        levels.append(sorted(merged.items(), key=lambda kv: kv[0].key))
+            return levels + [level], examined_per_level + [examined], False
+        levels.append(level)
         examined_per_level.append(examined)
     return levels, examined_per_level, True
 

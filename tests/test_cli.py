@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from booklab import patterns
 from booklab.cli import main
 from booklab.formats import graph6_encode
 from booklab.graphs import complete_graph, turan_graph
@@ -205,6 +206,12 @@ def test_exit_codes(capsys):
     assert main(["free", "--input", K6, "--forbid", "B(9,9)"]) == 2
     assert main(["exact", "--n", "9", "--r", "3", "--forbid", "B(3,1)",
                  "--engine", "labeled"]) == 3
+    capsys.readouterr()
+
+
+def test_free_honors_a_lowered_clique_budget(capsys, monkeypatch):
+    monkeypatch.setattr(patterns, "CLIQUE_BUDGET", 2)
+    assert main(["free", "--input", K6, "--forbid", "B(3,0)"]) == 3
     capsys.readouterr()
 
 

@@ -1,12 +1,19 @@
 import itertools
+import os
 import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import booklab
+from booklab import patterns
+from booklab.errors import ResourceLimitError
 from booklab.graphs import (
+    clique_mask_list,
     complete_graph,
     contains_subgraph,
     count_cliques,
@@ -20,8 +27,6 @@ from booklab.graphs import (
 from booklab.patterns import (
     BookSpec,
     ForbiddenFamily,
-    _pair_scan_numpy,
-    _pair_scan_python,
     book_graph,
     book_violation,
     family_signature,
@@ -218,34 +223,67 @@ def test_family_signature_order_insensitive():
     assert family_signature(a) != family_signature(parse_family("B(4,1),H1"))
 
 
-def _random_clique_masks(rng, n, count):
-    masks = set()
-    while len(masks) < count:
-        verts = rng.sample(range(n), rng.randint(2, min(5, n)))
-        masks.add(sum(1 << v for v in verts))
-    return sorted(masks)
+def _row_major_first_pair(g, spec):
+    """The first pair (i, j), i < j, of listed r-cliques meeting in exactly s vertices."""
+    masks = clique_mask_list(g, spec.r)
+    for i, a in enumerate(masks):
+        for b in masks[i + 1 :]:
+            if (a & b).bit_count() == spec.s:
+                return a, b
+    return None
 
 
-@pytest.mark.parametrize("n", [20, 70, 130])
-def test_pair_scans_agree(n):
-    # same first hit whether scanned in pure python or through numpy words
+def _scan_pair(g, spec):
+    w = book_violation(g, spec)
+    return None if w is None else (w.first.bits, w.second.bits)
+
+
+@pytest.mark.parametrize("n, p", [(20, 0.5), (70, 0.2), (130, 0.12)])
+def test_book_scan_matches_row_major_double_loop(n, p):
+    # n > 64 spreads each clique over several machine words
     rng = random.Random(n)
-    masks = _random_clique_masks(rng, n, 300)
-    for s in range(4):
-        assert _pair_scan_python(masks, s) == _pair_scan_numpy(masks, s, n)
+    for _ in range(3):
+        g = from_mask(n, sum(1 << k for k in range(n * (n - 1) // 2) if rng.random() < p))
+        for r in range(2, 5):
+            for s in range(r):
+                spec = BookSpec(r, s)
+                assert _scan_pair(g, spec) == _row_major_first_pair(g, spec)
 
 
-def test_pair_scan_no_hit():
-    masks = [0b11, 0b1100, 0b110000]
-    assert _pair_scan_python(masks, 1) is None
-    assert _pair_scan_numpy(masks, 1, 6) is None
-    assert _pair_scan_python(masks, 0) == (0, 1)
-    assert _pair_scan_numpy(masks, 0, 6) == (0, 1)
+def test_book_scan_without_a_hit():
+    three_edges = from_edges(6, [(0, 1), (2, 3), (4, 5)])
+    assert book_violation(three_edges, BookSpec(2, 1)) is None
+    w = book_violation(three_edges, BookSpec(2, 0))
+    assert (w.first.vertices(), w.second.vertices()) == ((0, 1), (2, 3))
+    # 32 disjoint K4s: 128 triangles, pairwise overlaps of 0 or 2 only
+    k4s = from_edges(128, [(4 * b + x, 4 * b + y) for b in range(32)
+                           for x, y in itertools.combinations(range(4), 2)])
+    for s in range(3):
+        spec = BookSpec(3, s)
+        assert _scan_pair(k4s, spec) == _row_major_first_pair(k4s, spec)
+    assert book_violation(k4s, BookSpec(3, 1)) is None
+    assert book_violation(complete_graph(3), BookSpec(3, 0)) is None
+
+
+def test_clique_budget_is_read_at_call_time(monkeypatch):
+    # K6 has twenty triangles; a budget lowered after import must still hold
+    monkeypatch.setattr(patterns, "CLIQUE_BUDGET", 2)
+    with pytest.raises(ResourceLimitError):
+        is_free(complete_graph(6), parse_family("B(3,0)"))
+
+
+def test_import_pulls_in_no_numpy():
+    src = os.path.dirname(os.path.dirname(booklab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, booklab, booklab.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_numpy_path_used_above_threshold():
-    # K(22) has 1540 triangles, crossing the vectorized-scan threshold; the
-    # witness must stay the deterministic first pair regardless of path
+    # K(22) has 1540 triangles; on a large clique list the witness must
+    # still be the deterministic row-major first pair
     g = complete_graph(22)
     w = book_violation(g, BookSpec(3, 1))
     assert w.first.vertices() == (0, 1, 2)

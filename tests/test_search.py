@@ -1,10 +1,11 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from booklab import patterns
+from booklab import patterns, search
 from booklab.canonical import canonical_form
 from booklab.errors import ResourceLimitError
 from booklab.formats import graph6_encode
@@ -106,6 +107,27 @@ def test_deadline_gives_partial_report():
     clear_generation_cache()
     rep = exact_ex(14, 3, BOWTIE_FREE, engine="canonical", cap=16, max_seconds=0.3)
     assert not rep.exhaustive
+    clear_generation_cache()
+
+
+def test_deadline_keeps_the_partial_level(monkeypatch):
+    # a fake clock that ticks once per parent cuts level 7 after 50 of its
+    # 98 parents, each of which offers 2^6 neighbourhoods
+    clear_generation_cache()
+    warm = exact_ex(6, 3, BOWTIE_FREE)
+    ticks = iter(range(10**6))
+    monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+    rep = exact_ex(7, 3, BOWTIE_FREE, max_seconds=50)
+    monkeypatch.undo()
+    assert not rep.exhaustive
+    assert rep.examined == warm.examined + 50 * 2 ** 6
+    assert 0 < rep.maximum
+    for cf in rep.witnesses:
+        g = cf.to_graph()
+        assert g.n == 7 and is_free(g, BOWTIE_FREE) and count_cliques(g, 3) == rep.maximum
+    full = exact_ex(7, 3, BOWTIE_FREE)
+    assert full.exhaustive and (full.maximum, full.examined) == (5, 7387)
+    assert rep.maximum <= full.maximum
     clear_generation_cache()
 
 
