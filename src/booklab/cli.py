@@ -202,21 +202,12 @@ def _cmd_beta(args) -> int:
     return 0
 
 
-def _piecewise_triangle_max(n: int) -> int:
-    rem = n % 4
-    if rem == 0:
-        return n
-    if rem == 1:
-        return n - 1
-    return n - 2
-
-
 def _table_rows(theorem: str, n_min: int, n_max: int) -> list[dict]:
     rows = []
     if theorem == "1.1":
         fam = parse_family("B(3,1)")
         for n in range(max(n_min, 1), n_max + 1):
-            formula = _piecewise_triangle_max(n)
+            formula = k4_packing_count(n)
             computed = exact_ex(n, 3, fam).maximum
             rows.append({"n": n, "formula": formula, "computed": computed,
                          "match": formula == computed})

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from .graphs import (
     Graph,
+    _check_order,
     complete_graph,
     disjoint_union,
     empty_graph,
-    from_edges,
     join,
     turan_graph,
     turan_part_sizes,
@@ -65,8 +65,7 @@ def k4_packing(n: int) -> Graph:
     Triangle count is n, n-1, n-2, n-2 for n = 0, 1, 2, 3 mod 4; any two
     triangles meet in 0 or 2+ vertices, never exactly one.
     """
-    if n < 0:
-        raise ValueError("negative vertex count")
+    _check_order(n)
     g = empty_graph(0)
     for _ in range(n // 4):
         g = disjoint_union(g, complete_graph(4))
@@ -97,26 +96,15 @@ def partition_construction(n: int, p: Partition, s: int) -> Graph:
         raise ValueError(
             f"partition {p.parts} is not {s}-sum-free: parts {bad} sum to {s}"
         )
-    sizes = turan_part_sizes(n, t)
-    # vertex v lives in part v mod t, mirroring turan_graph
-    part_vertices = [[v for v in range(n) if v % t == i] for i in range(t)]
-    edges = []
-    for i in range(t):
-        verts = part_vertices[i]
-        a = p.parts[i]
-        blocks = len(verts) // a
-        for b in range(blocks):
-            block = verts[b * a : (b + 1) * a]
-            for x in range(len(block)):
-                for y in range(x + 1, len(block)):
-                    edges.append((block[x], block[y]))
-    for i in range(t):
-        for j in range(i + 1, t):
-            for u in part_vertices[i]:
-                for v in part_vertices[j]:
-                    edges.append((u, v))
-    assert [len(pv) for pv in part_vertices] == list(sizes)
-    return from_edges(n, edges)
+    # vertex v lives in part v mod t, as in turan_graph
+    rows = list(turan_graph(n, t).adj)
+    for i, a in enumerate(p.parts):
+        members = range(i, n, t)
+        for lo in range(0, len(members) - a + 1, a):
+            block = sum(1 << v for v in members[lo : lo + a])
+            for v in members[lo : lo + a]:
+                rows[v] |= block ^ (1 << v)
+    return Graph(n, tuple(rows))
 
 
 def partition_predicted_count(n: int, p: Partition) -> int:
@@ -138,8 +126,7 @@ def b42_construction(n: int) -> Graph:
     n = 5 mod 6) and keeps m(3m+t) >= n^2/12 - 2 for every n >= 6.
     For n < 6 this degenerates to the edgeless graph.
     """
-    if n < 0:
-        raise ValueError("negative vertex count")
+    _check_order(n)
     m = (n + 1) // 6 if n >= 6 else 0
     tris = empty_graph(0)
     for _ in range(m):

@@ -7,7 +7,7 @@ graph6 packs the upper triangle column-major, six bits per printable byte
 
 from __future__ import annotations
 
-from .graphs import Graph, VERTEX_CAP, from_edges
+from .graphs import Graph, _check_order, from_edges
 
 
 def _triangle_bits(g: Graph) -> list[int]:
@@ -21,8 +21,7 @@ def _triangle_bits(g: Graph) -> list[int]:
 
 def graph6_encode(g: Graph) -> str:
     n = g.n
-    if n > 258047:
-        raise ValueError("graph6 supports at most 258047 vertices here")
+    _check_order(n)
     if n <= 62:
         head = [n + 63]
     else:
@@ -55,8 +54,7 @@ def graph6_decode(text: str) -> Graph:
     else:
         n = data[0] - 63
         body = data[1:]
-    if n > VERTEX_CAP:
-        raise ValueError(f"vertex count {n} outside [0, {VERTEX_CAP}]")
+    _check_order(n)
     nbits = n * (n - 1) // 2
     if len(body) != (nbits + 5) // 6:
         raise ValueError(f"graph6 body length {len(body)} wrong for n={n}")

@@ -9,14 +9,20 @@ same word-wise AND tricks work uniformly for any order; everything below
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterator
 
 from .errors import ResourceLimitError
 
 #: Soft guard against absurd inputs.  Constructions in this package live in
-#: the tens-to-hundreds of vertices; raise this if you know what you're doing.
+#: the tens-to-hundreds of vertices; raise this if you know what you're doing,
+#: but keep it at most 258047, the largest order graph6_encode's header holds.
 VERTEX_CAP = 4096
+
+
+def _check_order(n: int) -> None:
+    """The one vertex-count guard: every builder and codec calls it before allocating."""
+    if not 0 <= n <= VERTEX_CAP:
+        raise ValueError(f"vertex count {n} outside [0, {VERTEX_CAP}]")
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -58,30 +64,12 @@ class Graph:
     """Undirected simple graph on vertices 0..n-1.
 
     adj[v] is the neighbor set of v as a bit mask.  Instances are values:
-    every operation returns a new graph.  Factories validate; hot loops
-    that build graphs from already-consistent rows skip re-validation.
+    every operation returns a new graph.  Factories check their input; hot
+    loops that build graphs from already-consistent rows skip the check.
     """
 
     n: int
     adj: tuple[int, ...]
-
-    def validate(self) -> "Graph":
-        if not 0 <= self.n <= VERTEX_CAP:
-            raise ValueError(f"vertex count {self.n} outside [0, {VERTEX_CAP}]")
-        if len(self.adj) != self.n:
-            raise ValueError("adjacency row count differs from n")
-        full = (1 << self.n) - 1
-        for u, row in enumerate(self.adj):
-            if row & ~full:
-                raise ValueError(f"row {u} mentions vertices >= n")
-            if (row >> u) & 1:
-                raise ValueError(f"loop at vertex {u}")
-        for u in range(self.n):
-            row = self.adj[u]
-            for v in _bits(row):
-                if not (self.adj[v] >> u) & 1:
-                    raise ValueError(f"asymmetric pair ({u}, {v})")
-        return self
 
     def has_edge(self, u: int, v: int) -> bool:
         return (self.adj[u] >> v) & 1 == 1
@@ -117,8 +105,7 @@ class Graph:
 
 def from_edges(n: int, edges) -> Graph:
     """Build a graph from an iterable of (u, v) pairs.  Duplicates collapse."""
-    if not 0 <= n <= VERTEX_CAP:
-        raise ValueError(f"vertex count {n} outside [0, {VERTEX_CAP}]")
+    _check_order(n)
     rows = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -131,14 +118,12 @@ def from_edges(n: int, edges) -> Graph:
 
 
 def empty_graph(n: int) -> Graph:
-    if not 0 <= n <= VERTEX_CAP:
-        raise ValueError(f"vertex count {n} outside [0, {VERTEX_CAP}]")
+    _check_order(n)
     return Graph(n, (0,) * n)
 
 
 def complete_graph(n: int) -> Graph:
-    if not 0 <= n <= VERTEX_CAP:
-        raise ValueError(f"vertex count {n} outside [0, {VERTEX_CAP}]")
+    _check_order(n)
     full = (1 << n) - 1
     return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
 
@@ -165,23 +150,16 @@ def turan_graph(n: int, t: int) -> Graph:
     """Complete multipartite T_t(n); vertex i sits in part i mod t."""
     if t < 1:
         raise ValueError("need at least one part")
-    if n < 0:
-        raise ValueError("negative vertex count")
-    rows = []
-    for i in range(n):
-        row = 0
-        for j in range(n):
-            if j != i and j % t != i % t:
-                row |= 1 << j
-        rows.append(row)
-    return Graph(n, tuple(rows))
+    _check_order(n)
+    full = (1 << n) - 1
+    part_mask = [sum(1 << v for v in range(i, n, t)) for i in range(min(t, n))]
+    return Graph(n, tuple(full & ~part_mask[v % t] for v in range(n)))
 
 
 def join(g: Graph, h: Graph) -> Graph:
     """Disjoint union plus every edge between the two sides; h is shifted."""
     n = g.n + h.n
-    if n > VERTEX_CAP:
-        raise ValueError(f"join exceeds vertex cap {VERTEX_CAP}")
+    _check_order(n)
     g_side = (1 << g.n) - 1
     h_side = ((1 << h.n) - 1) << g.n
     rows = [g.adj[u] | h_side for u in range(g.n)]
@@ -191,8 +169,7 @@ def join(g: Graph, h: Graph) -> Graph:
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     n = g.n + h.n
-    if n > VERTEX_CAP:
-        raise ValueError(f"union exceeds vertex cap {VERTEX_CAP}")
+    _check_order(n)
     rows = list(g.adj) + [h.adj[v] << g.n for v in range(h.n)]
     return Graph(n, tuple(rows))
 
@@ -411,14 +388,3 @@ def contains_subgraph_at(g: Graph, h: Graph, host_vertex: int) -> bool:
         if find_subgraph(g, h, pin=(p, host_vertex)) is not None:
             return True
     return False
-
-
-# small exhaustive oracle, kept next to the fast path for cross-checking
-def count_cliques_by_subsets(g: Graph, r: int) -> int:
-    if r == 0:
-        return 1
-    total = 0
-    for combo in combinations(range(g.n), r):
-        if all(g.has_edge(u, v) for u, v in combinations(combo, 2)):
-            total += 1
-    return total

@@ -11,7 +11,6 @@ import re
 from dataclasses import dataclass, field
 
 from .canonical import canonical_form
-from .errors import ResourceLimitError
 from .graphs import (
     Graph,
     VertexSet,
@@ -97,19 +96,17 @@ def book_graph(spec: BookSpec) -> Graph:
     return from_edges(n, edges)
 
 
-def book_violation(
-    g: Graph, spec: BookSpec, budget: int | None = None
-) -> CliqueWitness | None:
+def book_violation(g: Graph, spec: BookSpec) -> CliqueWitness | None:
     """First pair of r-cliques sharing exactly s vertices, in a fixed scan order.
 
     Cliques are enumerated lexicographically and the first pair (i, j) in
     row-major order is returned, so the witness is deterministic.  One pass
     over j keeps, per vertex, the bitset of earlier cliques holding it;
     at[t] collects the earlier cliques sharing at least t vertices with
-    clique j.  Raises ResourceLimitError past the budget (default
-    CLIQUE_BUDGET, read at call time).
+    clique j.  Raises ResourceLimitError past CLIQUE_BUDGET, read at call
+    time.
     """
-    masks = clique_mask_list(g, spec.r, CLIQUE_BUDGET if budget is None else budget)
+    masks = clique_mask_list(g, spec.r, CLIQUE_BUDGET)
     s = spec.s
     cols = [0] * g.n
     hit = None
@@ -132,9 +129,7 @@ def book_violation(
     return CliqueWitness(VertexSet(masks[i]), VertexSet(masks[j]), spec.s)
 
 
-def first_violation(
-    g: Graph, family: ForbiddenFamily, budget: int | None = None
-) -> int | None:
+def first_violation(g: Graph, family: ForbiddenFamily) -> int | None:
     """Vertex mask of the first violating structure in g; None when g is free.
 
     Cheap checks come first: the first clique of the first listed K(m) that
@@ -146,7 +141,7 @@ def first_violation(
         if clique is not None:
             return clique
     for spec in family.books:
-        w = book_violation(g, spec, budget)
+        w = book_violation(g, spec)
         if w is not None:
             return w.first.bits | w.second.bits
     for p in family.noncomplete:
@@ -156,9 +151,9 @@ def first_violation(
     return None
 
 
-def is_free(g: Graph, family: ForbiddenFamily, budget: int | None = None) -> bool:
+def is_free(g: Graph, family: ForbiddenFamily) -> bool:
     """True when g avoids every book and every pattern in the family."""
-    return first_violation(g, family, budget) is None
+    return first_violation(g, family) is None
 
 
 # ---------------------------------------------------------------------------

@@ -83,18 +83,27 @@ def _finish_witnesses(
     return SearchReport(n, r, family, best, witnesses, examined, engine, exhaustive)
 
 
+def _run_shards(fn, items, jobs, *args):
+    """Map fn over at most `jobs` contiguous chunks of items, each passed as
+    (chunk, *args); a process pool is used only for more than one chunk."""
+    step = max(1, -(-len(items) // max(1, jobs)))
+    shards = [(items[lo : lo + step], *args) for lo in range(0, len(items), step)]
+    if len(shards) <= 1:
+        return list(map(fn, shards))
+    with ProcessPoolExecutor(max_workers=len(shards)) as pool:
+        return list(pool.map(fn, shards))
+
+
 # ---------------------------------------------------------------------------
 # labeled brute force
 
 def _labeled_shard(args):
-    n, r, family, lo, hi, deadline = args
+    masks, n, r, family, deadline = args
     best = -1
     wit: set[CanonicalForm] = set()
     examined = 0
-    completed = True
-    for mask in range(lo, hi):
+    for mask in masks:
         if deadline is not None and (mask & 0xFFF) == 0 and time.monotonic() > deadline:
-            completed = False
             break
         examined += 1
         g = from_mask(n, mask)
@@ -106,7 +115,7 @@ def _labeled_shard(args):
             wit = set()
         if c == best and best > 0:
             wit.add(canonical_form(g))
-    return best, wit, examined, completed
+    return best, wit, examined, examined == len(masks)
 
 
 def brute_force_labeled(
@@ -129,23 +138,13 @@ def brute_force_labeled(
         return _finish_witnesses(n, r, family, 0, set(), 0, engine, True)
     deadline = None if max_seconds is None else time.monotonic() + max_seconds
     total = 1 << (n * (n - 1) // 2)
-    if jobs <= 1 or total < 4096:
-        best, wit, examined, completed = _labeled_shard((n, r, family, 0, total, deadline))
-    else:
-        step = -(-total // jobs)
-        shards = [
-            (n, r, family, lo, min(lo + step, total), deadline)
-            for lo in range(0, total, step)
-        ]
-        best, wit, examined, completed = -1, set(), 0, True
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for sb, sw, se, sc in pool.map(_labeled_shard, shards):
-                examined += se
-                completed &= sc
-                if sb > best:
-                    best, wit = sb, set()
-                if sb == best:
-                    wit |= sw
+    results = _run_shards(
+        _labeled_shard, range(total), jobs if total >= 4096 else 1, n, r, family, deadline
+    )
+    best = max(res[0] for res in results)
+    wit = set().union(*(res[1] for res in results if res[0] == best))
+    examined = sum(res[2] for res in results)
+    completed = all(res[3] for res in results)
     return _finish_witnesses(n, r, family, best, wit, examined, engine, completed)
 
 
@@ -257,6 +256,8 @@ def _generation_levels(family: ForbiddenFamily, n: int, deadline, jobs: int):
     """
     sig = family_signature(family)
     if sig not in _GEN_CACHE:
+        # the cache holds one family's levels
+        _GEN_CACHE.clear()
         base = empty_graph(0)
         lvl0 = [(canonical_form(base), base)] if is_free(base, family) else []
         _GEN_CACHE[sig] = ([lvl0], [0])
@@ -265,23 +266,14 @@ def _generation_levels(family: ForbiddenFamily, n: int, deadline, jobs: int):
         k = len(levels) - 1
         parents = [g for _, g in levels[k]]
         sharded = jobs > 1 and len(parents) >= 4 * jobs and k >= 5
-        step = -(-len(parents) // jobs) if sharded else max(1, len(parents))
-        shards = [(parents[lo : lo + step], family, deadline) for lo in range(0, len(parents), step)]
+        results = _run_shards(_canonical_shard, parents, jobs if sharded else 1, family, deadline)
         merged: dict[CanonicalForm, Graph] = {}
-        examined = 0
-        completed = True
-        if sharded:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_canonical_shard, shards))
-        else:
-            results = map(_canonical_shard, shards)
-        for found, ex, comp in results:
-            examined += ex
-            completed &= comp
+        for found, _, _ in results:
             for cf, g in found.items():
                 merged.setdefault(cf, g)
         level = sorted(merged.items(), key=lambda kv: kv[0].key)
-        if not completed:
+        examined = sum(res[1] for res in results)
+        if not all(res[2] for res in results):
             return levels + [level], examined_per_level + [examined], False
         levels.append(level)
         examined_per_level.append(examined)
@@ -309,15 +301,9 @@ def canonical_generation(
     deadline = None if max_seconds is None else time.monotonic() + max_seconds
     levels, examined_per_level, completed = _generation_levels(family, n, deadline, jobs)
     examined = sum(examined_per_level[: n + 1])
-    best = -1
-    wit: set[CanonicalForm] = set()
-    if len(levels) > n:
-        for cf, g in levels[n]:
-            c = count_cliques(g, r)
-            if c > best:
-                best, wit = c, set()
-            if c == best and best > 0:
-                wit.add(cf)
+    counts = {cf: count_cliques(g, r) for cf, g in (levels[n] if len(levels) > n else ())}
+    best = max(counts.values(), default=-1)
+    wit = {cf for cf, c in counts.items() if c == best}
     return _finish_witnesses(n, r, family, best, wit, examined, engine, completed)
 
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -96,6 +97,19 @@ def test_construct_book_stdout(capsys):
 def test_construct_partition_requires_parts(capsys):
     code, _ = run(capsys, "construct", "--kind", "partition", "--n", "12")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "kind_args", [("book", "--r", "5", "--s", "1"), ("partition", "--parts", "3,1", "--s", "2")]
+)
+def test_construct_past_the_vertex_cap_fails_fast(capsys, kind_args):
+    kind, *rest = kind_args
+    t0 = time.perf_counter()
+    code = main(["construct", "--kind", kind, "--n", "4097", *rest])
+    elapsed = time.perf_counter() - t0
+    assert code == 2
+    assert "vertex count 4097 outside" in capsys.readouterr().err
+    assert elapsed < 1.0
 
 
 def test_exact_small(capsys):

@@ -12,7 +12,8 @@ from booklab.constructions import (
     partition_predicted_count,
     turan_clique_count,
 )
-from booklab.graphs import count_cliques, turan_graph
+from booklab.formats import graph6_encode
+from booklab.graphs import VERTEX_CAP, count_cliques, turan_graph
 from booklab.partitions import Partition
 from booklab.patterns import BookSpec, ForbiddenFamily, is_free, parse_family
 
@@ -78,11 +79,25 @@ def test_partition_construction_counts():
         assert is_free(g, parse_family("B(4,2)"))
 
 
+def test_partition_construction_graph6_pinned():
+    # recorded from the edge-list builder this one replaced
+    assert graph6_encode(partition_construction(12, Partition((3, 1)), 2)) == "K|}ilTViintT"
+    g = partition_construction(17, Partition((4, 1)), 2)
+    assert graph6_encode(g) == "P|}n|TTiijtTT^iiin|TTTTS"
+
+
 def test_partition_construction_rejects_offending_partition():
     with pytest.raises(ValueError):
         partition_construction(12, Partition((2, 2)), 2)
     with pytest.raises(ValueError):
         partition_construction(12, Partition((2, 1)), 1)
+
+
+@pytest.mark.parametrize("build", [k4_packing, b42_construction])
+def test_block_constructions_check_the_order_first(build):
+    for n in (-1, VERTEX_CAP + 1):
+        with pytest.raises(ValueError, match=f"vertex count {n} outside"):
+            build(n)
 
 
 def test_partition_predicted_count():

@@ -3,7 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from booklab.errors import ResourceLimitError
+from booklab.formats import graph6_decode, graph6_encode
 from booklab.graphs import (
+    VERTEX_CAP,
     Graph,
     VertexSet,
     clique_mask_list,
@@ -12,7 +14,6 @@ from booklab.graphs import (
     contains_subgraph,
     contains_subgraph_at,
     count_cliques,
-    count_cliques_by_subsets,
     cycle_graph,
     disjoint_union,
     empty_graph,
@@ -70,11 +71,6 @@ def test_count_cliques_matches_subset_oracle(g, r):
     assert count_cliques(g, r) == oracle_count_cliques(g, r)
 
 
-@given(graphs(max_n=7), st.integers(min_value=1, max_value=5))
-def test_count_by_subsets_agrees(g, r):
-    assert count_cliques_by_subsets(g, r) == count_cliques(g, r)
-
-
 @given(graphs(min_n=1, max_n=7), st.integers(min_value=1, max_value=5))
 def test_enumerate_cliques_consistent(g, r):
     cliques = list(enumerate_cliques(g, r))
@@ -118,6 +114,33 @@ def test_turan_part_sizes():
     assert turan_part_sizes(3, 5) == (1, 1, 1, 0, 0)
     with pytest.raises(ValueError):
         turan_part_sizes(3, 0)
+
+
+# every builder and codec rejects one vertex past the cap before allocating
+_OVER_CAP = {
+    "from_edges": lambda n: from_edges(n, []),
+    "empty_graph": empty_graph,
+    "complete_graph": complete_graph,
+    "join": lambda n: join(empty_graph(n - 1), empty_graph(1)),
+    "disjoint_union": lambda n: disjoint_union(empty_graph(n - 1), empty_graph(1)),
+    "turan_graph": lambda n: turan_graph(n, 2),
+    "graph6_encode": lambda n: graph6_encode(Graph(n, (0,) * n)),
+    "graph6_decode": lambda n: graph6_decode(
+        bytes([126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]).decode()
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OVER_CAP))
+def test_vertex_cap_guards_every_builder_and_codec(name):
+    n = VERTEX_CAP + 1
+    with pytest.raises(ValueError, match=rf"vertex count {n} outside \[0, {VERTEX_CAP}\]"):
+        _OVER_CAP[name](n)
+
+
+def test_turan_graph_rejects_a_negative_order():
+    with pytest.raises(ValueError, match="vertex count -1 outside"):
+        turan_graph(-1, 3)
 
 
 def test_turan_graph_shape():

@@ -19,7 +19,7 @@ from booklab.graphs import (
     join,
     turan_graph,
 )
-from booklab.patterns import ForbiddenFamily, is_free, parse_family
+from booklab.patterns import ForbiddenFamily, family_signature, is_free, parse_family
 from booklab.search import (
     brute_force_labeled,
     canonical_generation,
@@ -128,6 +128,19 @@ def test_deadline_keeps_the_partial_level(monkeypatch):
     full = exact_ex(7, 3, BOWTIE_FREE)
     assert full.exhaustive and (full.maximum, full.examined) == (5, 7387)
     assert rep.maximum <= full.maximum
+    clear_generation_cache()
+
+
+def test_generation_cache_holds_one_family():
+    clear_generation_cache()
+    first = exact_ex(6, 3, BOWTIE_FREE)
+    exact_ex(6, 4, LEMMA_FAMILY)
+    assert list(search._GEN_CACHE) == [family_signature(LEMMA_FAMILY)]
+    again = exact_ex(6, 3, BOWTIE_FREE)
+    assert (again.maximum, again.witnesses, again.examined) == (
+        first.maximum, first.witnesses, first.examined
+    )
+    assert len(search._GEN_CACHE) == 1
     clear_generation_cache()
 
 
