@@ -13,6 +13,7 @@ import sys
 import time
 from pathlib import Path
 
+from . import patterns
 from .constructions import (
     b42_construction,
     b42_count,
@@ -137,7 +138,18 @@ def _cmd_construct(args) -> int:
         default_family = ForbiddenFamily(books=(BookSpec(4, 2),))
     else:
         raise ValueError(f"unknown construction kind {kind!r}")
-    family = parse_family(args.family) if args.family else default_family
+    if args.family:
+        family = parse_family(args.family)
+    else:
+        # the default family is one book on predicted_count r-cliques, which
+        # is_free would list in full before its budget stops it
+        budget = patterns.CLIQUE_BUDGET
+        if predicted > budget:
+            r = default_family.books[0].r
+            raise ResourceLimitError(
+                f"more than {budget} cliques of size {r}; raise the budget to proceed"
+            )
+        family = default_family
     sidecar = {
         "schema": SCHEMA,
         "n": g.n,

@@ -9,6 +9,7 @@ same word-wise AND tricks work uniformly for any order; everything below
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 from .errors import ResourceLimitError
@@ -301,10 +302,10 @@ def clique_mask_list(g: Graph, r: int, budget: int | None = None) -> list[int]:
 # ---------------------------------------------------------------------------
 # subgraph containment (not induced): injective map carrying edges to edges
 
-def _search_order(h: Graph, first: int) -> list[int]:
-    """Pattern vertices ordered most-constrained-first, starting at `first`."""
-    order = [first]
-    placed = 1 << first
+def _search_order(h: Graph, firsts: tuple[int, ...]) -> list[int]:
+    """Pattern vertices ordered most-constrained-first, after the pinned `firsts`."""
+    order = list(firsts)
+    placed = sum(1 << p for p in firsts)
     while len(order) < h.n:
         best, best_key = -1, (-1, -1)
         for p in range(h.n):
@@ -318,6 +319,70 @@ def _search_order(h: Graph, first: int) -> list[int]:
     return order
 
 
+@lru_cache(maxsize=1024)
+def _plan(h: Graph, pinned: tuple[int, ...]):
+    """Search plan of h with the given pattern vertices placed first.
+
+    Returns (order, earlier, need): the pattern vertex at each position, its
+    pattern neighbours placed before it, and its degree.
+    """
+    order = _search_order(h, pinned)
+    earlier = tuple(
+        tuple(q for q in order[:idx] if (h.adj[p] >> q) & 1) for idx, p in enumerate(order)
+    )
+    return tuple(order), earlier, tuple(h.adj[p].bit_count() for p in order)
+
+
+def _embed(
+    g: Graph, h: Graph, pins: tuple[tuple[int, int], ...]
+) -> tuple[int, ...] | None:
+    """First embedding of h into g with each pin (p, w) sending p to w.
+
+    The pins name distinct pattern vertices.  Returns the host vertex of
+    every pattern vertex, or None.  Pinned vertices are placed first, the
+    rest in the order of h's cached plan, and host candidates are tried in
+    ascending order.
+    """
+    if h.n > g.n:
+        return None
+    order, earlier, need = _plan(h, tuple(p for p, _ in pins))
+    adj = g.adj
+    nh = h.n
+    image = [0] * nh
+    used = 0
+    for idx, (p, w) in enumerate(pins):
+        row = adj[w]
+        if (used >> w) & 1 or row.bit_count() < need[idx]:
+            return None
+        for q in earlier[idx]:
+            if not (row >> image[q]) & 1:
+                return None
+        image[p] = w
+        used |= 1 << w
+    full = (1 << g.n) - 1
+
+    def place(idx: int, used: int) -> bool:
+        if idx == nh:
+            return True
+        cand = full & ~used
+        for q in earlier[idx]:
+            cand &= adj[image[q]]
+        d = need[idx]
+        p = order[idx]
+        while cand:
+            low = cand & -cand
+            w = low.bit_length() - 1
+            cand ^= low
+            if adj[w].bit_count() < d:
+                continue
+            image[p] = w
+            if place(idx + 1, used | low):
+                return True
+        return False
+
+    return tuple(image) if place(len(pins), used) else None
+
+
 def find_subgraph(
     g: Graph, h: Graph, *, pin: tuple[int, int] | None = None
 ) -> tuple[int, ...] | None:
@@ -327,64 +392,50 @@ def find_subgraph(
     no embedding exists.  Extra host edges are fine; this is plain subgraph
     containment, not induced.
     """
-    if h.n > g.n:
-        return None
-    if h.n == 0:
-        return ()
-    hdeg = [h.adj[p].bit_count() for p in range(h.n)]
-    gdeg = [g.adj[v].bit_count() for v in range(g.n)]
-    full = (1 << g.n) - 1
-
-    if pin is None:
-        first = max(range(h.n), key=lambda p: hdeg[p])
-    else:
-        first = pin[0]
-        if gdeg[pin[1]] < hdeg[first]:
-            return None
-    order = _search_order(h, first)
-    # for each position, the positions of already-placed pattern neighbors
-    earlier: list[list[int]] = []
-    for idx, p in enumerate(order):
-        earlier.append([k for k in range(idx) if (h.adj[p] >> order[k]) & 1])
-
-    image = [0] * h.n
-
-    def place(idx: int, used: int) -> bool:
-        if idx == h.n:
-            return True
-        p = order[idx]
-        cand = full & ~used
-        for k in earlier[idx]:
-            cand &= g.adj[image[order[k]]]
-        need = hdeg[p]
-        while cand:
-            low = cand & -cand
-            w = low.bit_length() - 1
-            cand ^= low
-            if gdeg[w] < need:
-                continue
-            image[p] = w
-            if place(idx + 1, used | low):
-                return True
-        return False
-
-    if pin is not None:
-        image[first] = pin[1]
-        if place(1, 1 << pin[1]):
-            return tuple(image)
-        return None
-    if place(0, 0):
-        return tuple(image)
-    return None
+    return _embed(g, h, () if pin is None else (pin,))
 
 
 def contains_subgraph(g: Graph, h: Graph) -> bool:
     return find_subgraph(g, h) is not None
 
 
+@lru_cache(maxsize=256)
+def vertex_orbit_reps(h: Graph) -> tuple[int, ...]:
+    """One vertex per orbit of Aut(h), the smallest of each.
+
+    A self-embedding of a finite graph is an automorphism, so q lies in the
+    orbit of p exactly when h embeds in itself with p pinned onto q.
+    """
+    reps: list[int] = []
+    for q in range(h.n):
+        if all(_embed(h, h, ((p, q),)) is None for p in reps):
+            reps.append(q)
+    return tuple(reps)
+
+
+@lru_cache(maxsize=256)
+def nonedge_orbit_reps(h: Graph) -> tuple[tuple[int, int], ...]:
+    """One non-adjacent pair (u, v), u < v, per orbit of Aut(h) on non-edges,
+    the lexicographically smallest of each."""
+    reps: list[tuple[int, int]] = []
+    for u in range(h.n):
+        for v in _bits(((1 << h.n) - 1) & ~h.adj[u] & ~((2 << u) - 1)):
+            if all(
+                _embed(h, h, ((a, u), (b, v))) is None
+                and _embed(h, h, ((a, v), (b, u))) is None
+                for a, b in reps
+            ):
+                reps.append((u, v))
+    return tuple(reps)
+
+
 def contains_subgraph_at(g: Graph, h: Graph, host_vertex: int) -> bool:
-    """Does some embedding of h cover the given host vertex?"""
-    for p in range(h.n):
+    """Does some embedding of h cover the given host vertex?
+
+    An embedding through the host vertex composed with an automorphism of h
+    is another one, so one pinned vertex per orbit suffices.
+    """
+    for p in vertex_orbit_reps(h):
         if find_subgraph(g, h, pin=(p, host_vertex)) is not None:
             return True
     return False

@@ -27,14 +27,17 @@ from .errors import ResourceLimitError
 from .graphs import (
     Graph,
     _bits,
+    _embed,
     clique_mask_list,
+    contains_subgraph_at,
     count_cliques,
     empty_graph,
     enumerate_clique_masks,
-    find_subgraph,
     from_mask,
     has_clique,
+    nonedge_orbit_reps,
 )
+from .graphs import find_subgraph as find_subgraph  # explicit re-export, kept importable
 from .patterns import ForbiddenFamily, family_signature, first_violation, is_free
 
 LABELED_DEFAULT_CAP = 7
@@ -171,17 +174,6 @@ def _overlap_hit(news: list[int], olds: list[int], s: int) -> bool:
     return False
 
 
-def _pattern_through(g: Graph, noncomplete, touched) -> bool:
-    """Does some pattern embed in g with one of its vertices on a touched vertex?"""
-    for p in noncomplete:
-        if p.n <= g.n:
-            for w in touched:
-                for q in range(p.n):
-                    if find_subgraph(g, p, pin=(q, w)) is not None:
-                        return True
-    return False
-
-
 def _child_is_free(
     parent: Graph,
     parent_cliques: dict[int, list[int]],
@@ -204,7 +196,7 @@ def _child_is_free(
         news = [c | newbit for c in enumerate_clique_masks(parent, spec.r - 1, within=smask)]
         if news and _overlap_hit(news, parent_cliques[spec.r], spec.s):
             return False
-    return not _pattern_through(child, family.noncomplete, (k,))
+    return not any(contains_subgraph_at(child, p, k) for p in family.noncomplete)
 
 
 def _extend_parent(parent: Graph, family: ForbiddenFamily):
@@ -383,7 +375,11 @@ def _clone_free(cand, src, targets, family, cliques_by_r):
 
     Only structures through a target are new.  New complete subgraphs are
     impossible (they would pull back to the pre-move graph through src), so
-    K(m) patterns need no check here.
+    K(m) patterns need no check here.  src and the targets are pairwise
+    non-adjacent twins in cand, and cand minus the targets lies in the free
+    pre-move graph.  So a new pattern embedding covers two vertices of that
+    twin class, and swapping twins moves them onto src and targets[0]: one
+    two-pin embedding per orbit of the pattern's non-edges decides it.
     """
     sbit = 1 << src
     tmask = sum(1 << t for t in targets)
@@ -393,7 +389,12 @@ def _clone_free(cand, src, targets, family, cliques_by_r):
         news = [(c ^ sbit) | (1 << t) for t in targets for c in scl]
         if news and _overlap_hit(news, [c for c in cl if not c & tmask], spec.s):
             return False
-    return not _pattern_through(cand, family.noncomplete, targets)
+    t0 = targets[0]
+    return not any(
+        _embed(cand, p, ((a, src), (b, t0))) is not None
+        for p in family.noncomplete
+        for a, b in nonedge_orbit_reps(p)
+    )
 
 
 def symmetrize(

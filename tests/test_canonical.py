@@ -1,4 +1,3 @@
-import itertools
 import random
 
 from hypothesis import given, settings

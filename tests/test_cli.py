@@ -5,8 +5,8 @@ import pytest
 
 from booklab import patterns
 from booklab.cli import main
-from booklab.formats import graph6_encode
-from booklab.graphs import complete_graph, turan_graph
+from booklab.formats import graph6_decode, graph6_encode
+from booklab.graphs import complete_graph, count_cliques, turan_graph
 
 K6 = graph6_encode(complete_graph(6))
 
@@ -78,9 +78,6 @@ def test_construct_b42(capsys, tmp_path):
     assert sidecar["predicted_count"] == 12
     assert sidecar["verified_free"] is True
     assert sidecar["family"] == "B(4,2)"
-    from booklab.formats import graph6_decode
-    from booklab.graphs import count_cliques
-
     g = graph6_decode(out_path.read_text().strip())
     assert count_cliques(g, 4) == 12
 
@@ -112,6 +109,40 @@ def test_construct_past_the_vertex_cap_fails_fast(capsys, kind_args):
     assert elapsed < 1.0
 
 
+CONSTRUCT_KINDS = [
+    (("book", "--r", "5", "--s", "1"), 5),
+    (("book", "--r", "4", "--s", "1"), 4),
+    (("book", "--r", "7", "--s", "2"), 7),
+    (("k4-packing",), 3),
+    (("partition", "--parts", "3,1", "--s", "2"), 4),
+    (("partition", "--parts", "2,2", "--s", "1"), 4),
+    (("b42",), 4),
+]
+
+
+@pytest.mark.parametrize("n", [7, 10, 13, 20])
+@pytest.mark.parametrize("kind_args,r", CONSTRUCT_KINDS)
+def test_construct_predicted_count_is_the_clique_count(capsys, kind_args, r, n):
+    # the budget shortcut in construct relies on this equality
+    code, out = run(capsys, "construct", "--kind", kind_args[0], "--n", str(n), *kind_args[1:])
+    assert code == 0
+    text, sidecar = out.strip().splitlines()
+    assert json.loads(sidecar)["predicted_count"] == count_cliques(graph6_decode(text), r)
+
+
+@pytest.mark.parametrize(
+    "kind_args", [("b42",), ("partition", "--parts", "3,1", "--s", "2")]
+)
+def test_construct_past_the_clique_budget_fails_fast(capsys, kind_args):
+    kind, *rest = kind_args
+    t0 = time.perf_counter()
+    code = main(["construct", "--kind", kind, "--n", "4096", *rest])
+    elapsed = time.perf_counter() - t0
+    assert code == 3
+    assert "cliques of size 4; raise the budget" in capsys.readouterr().err
+    assert elapsed < 2.0
+
+
 def test_exact_small(capsys):
     data = run_json(capsys, "exact", "--n", "6", "--r", "3", "--forbid", "B(3,1)")
     assert data["maximum"] == 4
@@ -121,8 +152,6 @@ def test_exact_small(capsys):
     assert data["examined"] > 0
     assert data["wall_ms"] >= 0
     # reported witnesses round-trip: decode, re-verify, re-count
-    from booklab.formats import graph6_decode
-    from booklab.graphs import count_cliques
     from booklab.patterns import is_free, parse_family
 
     fam = parse_family(data["family"])

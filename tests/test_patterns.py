@@ -21,7 +21,6 @@ from booklab.graphs import (
     empty_graph,
     from_edges,
     from_mask,
-    to_mask,
     turan_graph,
 )
 from booklab.patterns import (

@@ -1,3 +1,4 @@
+import itertools
 import random
 from types import SimpleNamespace
 
@@ -10,16 +11,25 @@ from booklab.canonical import canonical_form
 from booklab.errors import ResourceLimitError
 from booklab.formats import graph6_encode
 from booklab.graphs import (
+    clique_mask_list,
     complete_graph,
     count_cliques,
     cycle_graph,
     empty_graph,
     enumerate_clique_masks,
-    from_mask,
+    from_edges,
     join,
     turan_graph,
 )
-from booklab.patterns import ForbiddenFamily, family_signature, is_free, parse_family
+from booklab.patterns import (
+    BookSpec,
+    ForbiddenFamily,
+    family_signature,
+    h1_graph,
+    h2_graph,
+    is_free,
+    parse_family,
+)
 from booklab.search import (
     brute_force_labeled,
     canonical_generation,
@@ -190,6 +200,47 @@ def test_clone_move_count_identity(gup, r):
     assert count_cliques(out, r) == expected
     assert not out.has_edge(u, v)
     assert out.neighbors(u) == tuple(w for w in g.neighbors(v) if w != u)
+
+
+CLONE_PATTERNS = {
+    "C4": cycle_graph(4),
+    "P4": from_edges(4, [(0, 1), (1, 2), (2, 3)]),
+    "C5": cycle_graph(5),
+    "K1,3": from_edges(4, [(0, 1), (0, 2), (0, 3)]),
+    "2K2": from_edges(4, [(0, 1), (2, 3)]),
+    "K2+K1": from_edges(3, [(0, 1)]),
+    # labelled so that the smallest non-edge orbit alone misses some moves
+    "P3+K1": from_edges(4, [(0, 1), (0, 2)]),
+    "P3+K2": from_edges(5, [(0, 3), (0, 4), (1, 2)]),
+    "K4-e": from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]),
+    "H1": h1_graph(),
+    "H2": h2_graph(),
+}
+
+
+@given(
+    st.sampled_from(sorted(CLONE_PATTERNS)),
+    st.sampled_from([(), (BookSpec(3, 1),), (BookSpec(3, 0),)]),
+    st.integers(min_value=3, max_value=8),
+    st.floats(min_value=0.3, max_value=0.9),
+    st.integers(min_value=0, max_value=10**6),
+)
+@settings(max_examples=120)
+def test_clone_free_matches_is_free(name, books, n, p, seed):
+    # every single clone and every paired clone over two non-neighbours of
+    # the source, whether or not the climb would try it
+    family = ForbiddenFamily(books, (CLONE_PATTERNS[name],))
+    g = random_free_graph(n, family, random.Random(seed), p)
+    cliques_by_r = {b.r: clique_mask_list(g, b.r) for b in books}
+    for v in range(n):
+        others = [u for u in range(n) if u != v and not g.has_edge(u, v)]
+        for u in others:
+            cand = clone_move(g, u, v)
+            assert search._clone_free(cand, v, (u,), family, cliques_by_r) == is_free(cand, family)
+        for x, z in itertools.combinations(others, 2):
+            cand = clone_move(clone_move(g, z, v), x, v)
+            got = search._clone_free(cand, v, (x, z), family, cliques_by_r)
+            assert got == is_free(cand, family)
 
 
 # ---------------------------------------------------------------------------
