@@ -302,10 +302,16 @@ def clique_mask_list(g: Graph, r: int, budget: int | None = None) -> list[int]:
 # ---------------------------------------------------------------------------
 # subgraph containment (not induced): injective map carrying edges to edges
 
-def _search_order(h: Graph, firsts: tuple[int, ...]) -> list[int]:
-    """Pattern vertices ordered most-constrained-first, after the pinned `firsts`."""
-    order = list(firsts)
-    placed = sum(1 << p for p in firsts)
+@lru_cache(maxsize=1024)
+def _plan(h: Graph, pinned: tuple[int, ...]):
+    """Search plan of h with the given pattern vertices placed first, the
+    rest most-constrained-first (most placed neighbours, then degree).
+
+    Returns (order, earlier, need): the pattern vertex at each position, its
+    pattern neighbours placed before it, and its degree.
+    """
+    order = list(pinned)
+    placed = sum(1 << p for p in pinned)
     while len(order) < h.n:
         best, best_key = -1, (-1, -1)
         for p in range(h.n):
@@ -316,17 +322,6 @@ def _search_order(h: Graph, firsts: tuple[int, ...]) -> list[int]:
                 best, best_key = p, key
         order.append(best)
         placed |= 1 << best
-    return order
-
-
-@lru_cache(maxsize=1024)
-def _plan(h: Graph, pinned: tuple[int, ...]):
-    """Search plan of h with the given pattern vertices placed first.
-
-    Returns (order, earlier, need): the pattern vertex at each position, its
-    pattern neighbours placed before it, and its degree.
-    """
-    order = _search_order(h, pinned)
     earlier = tuple(
         tuple(q for q in order[:idx] if (h.adj[p] >> q) & 1) for idx, p in enumerate(order)
     )

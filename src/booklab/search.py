@@ -16,6 +16,7 @@ for any family even though its move accounting mirrors the two-clique case.
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -88,12 +89,13 @@ def _finish_witnesses(
 
 def _run_shards(fn, items, jobs, *args):
     """Map fn over at most `jobs` contiguous chunks of items, each passed as
-    (chunk, *args); a process pool is used only for more than one chunk."""
+    (chunk, *args); a process pool, of at most one worker per CPU, is used
+    only for more than one chunk."""
     step = max(1, -(-len(items) // max(1, jobs)))
     shards = [(items[lo : lo + step], *args) for lo in range(0, len(items), step)]
     if len(shards) <= 1:
         return list(map(fn, shards))
-    with ProcessPoolExecutor(max_workers=len(shards)) as pool:
+    with ProcessPoolExecutor(max_workers=min(len(shards), os.cpu_count() or 1)) as pool:
         return list(pool.map(fn, shards))
 
 
@@ -199,40 +201,31 @@ def _child_is_free(
     return not any(contains_subgraph_at(child, p, k) for p in family.noncomplete)
 
 
-def _extend_parent(parent: Graph, family: ForbiddenFamily):
-    """All free children of one parent, as (canonical form, child) pairs."""
-    k = parent.n
-    budget = patterns.CLIQUE_BUDGET
-    parent_cliques = {
-        rr: clique_mask_list(parent, rr, budget) for rr in {b.r for b in family.books}
-    }
-    out = []
-    for smask in range(1 << k):
-        child = _child_graph(parent, smask)
-        if _child_is_free(parent, parent_cliques, child, smask, family):
-            out.append((canonical_form(child), child))
-    return out
-
-
 def _canonical_shard(args):
+    """Canonical forms of the free children of each parent, and how many
+    parents were extended before the deadline."""
     parents, family, deadline = args
-    found: dict[CanonicalForm, Graph] = {}
-    examined = 0
-    completed = True
+    budget = patterns.CLIQUE_BUDGET
+    found: set[CanonicalForm] = set()
+    extended = 0
     for parent in parents:
         if deadline is not None and time.monotonic() > deadline:
-            completed = False
             break
-        examined += 1 << parent.n
-        for cf, child in _extend_parent(parent, family):
-            if cf not in found:
-                found[cf] = child
-    return found, examined, completed
+        k = parent.n
+        parent_cliques = {
+            rr: clique_mask_list(parent, rr, budget) for rr in {b.r for b in family.books}
+        }
+        for smask in range(1 << k):
+            child = _child_graph(parent, smask)
+            if _child_is_free(parent, parent_cliques, child, smask, family):
+                found.add(canonical_form(child))
+        extended += 1
+    return found, extended
 
 
-# cache: family signature -> (levels, candidate counts); levels[k] holds one
-# (canonical form, representative) per free class on k vertices
-_GEN_CACHE: dict[tuple, tuple[list[list[tuple[CanonicalForm, Graph]]], list[int]]] = {}
+# cache: family signature -> levels; levels[k] is the key-sorted list of
+# canonical forms of the free classes on k vertices
+_GEN_CACHE: dict[tuple, list[list[CanonicalForm]]] = {}
 
 
 def clear_generation_cache() -> None:
@@ -240,36 +233,33 @@ def clear_generation_cache() -> None:
 
 
 def _generation_levels(family: ForbiddenFamily, n: int, deadline, jobs: int):
-    """Grow cached levels of free representatives up to n vertices.
+    """Grow cached levels of free classes up to n vertices.
 
-    Returns (levels, candidate_counts, completed).  Only fully built levels
-    are cached, so a deadline abort never poisons the cache; the level it
-    cut short is returned, with its candidate count, after the cached ones.
+    Returns (levels, examined, completed).  Every parent on k vertices
+    offers 2^k candidate children, so examined is the sum over k < n of
+    |levels[k]| * 2^k.  Only fully built levels are cached, so a deadline
+    abort never poisons the cache; the level it cut short is returned after
+    the cached ones, and examined counts only the parents extended for it.
     """
     sig = family_signature(family)
     if sig not in _GEN_CACHE:
         # the cache holds one family's levels
         _GEN_CACHE.clear()
         base = empty_graph(0)
-        lvl0 = [(canonical_form(base), base)] if is_free(base, family) else []
-        _GEN_CACHE[sig] = ([lvl0], [0])
-    levels, examined_per_level = _GEN_CACHE[sig]
+        _GEN_CACHE[sig] = [[canonical_form(base)] if is_free(base, family) else []]
+    levels = _GEN_CACHE[sig]
     while len(levels) <= n:
         k = len(levels) - 1
-        parents = [g for _, g in levels[k]]
+        parents = [cf.to_graph() for cf in levels[k]]
         sharded = jobs > 1 and len(parents) >= 4 * jobs and k >= 5
         results = _run_shards(_canonical_shard, parents, jobs if sharded else 1, family, deadline)
-        merged: dict[CanonicalForm, Graph] = {}
-        for found, _, _ in results:
-            for cf, g in found.items():
-                merged.setdefault(cf, g)
-        level = sorted(merged.items(), key=lambda kv: kv[0].key)
-        examined = sum(res[1] for res in results)
-        if not all(res[2] for res in results):
-            return levels + [level], examined_per_level + [examined], False
+        level = sorted(set().union(*(res[0] for res in results)), key=lambda cf: cf.key)
+        extended = sum(res[1] for res in results)
+        if extended < len(parents):
+            examined = sum(len(lv) << j for j, lv in enumerate(levels[:k])) + (extended << k)
+            return levels + [level], examined, False
         levels.append(level)
-        examined_per_level.append(examined)
-    return levels, examined_per_level, True
+    return levels, sum(len(lv) << j for j, lv in enumerate(levels[:n])), True
 
 
 def canonical_generation(
@@ -291,9 +281,8 @@ def canonical_generation(
     if n < r:
         return _finish_witnesses(n, r, family, 0, set(), 0, engine, True)
     deadline = None if max_seconds is None else time.monotonic() + max_seconds
-    levels, examined_per_level, completed = _generation_levels(family, n, deadline, jobs)
-    examined = sum(examined_per_level[: n + 1])
-    counts = {cf: count_cliques(g, r) for cf, g in (levels[n] if len(levels) > n else ())}
+    levels, examined, completed = _generation_levels(family, n, deadline, jobs)
+    counts = {cf: count_cliques(cf.to_graph(), r) for cf in (levels[n] if len(levels) > n else ())}
     best = max(counts.values(), default=-1)
     wit = {cf for cf, c in counts.items() if c == best}
     return _finish_witnesses(n, r, family, best, wit, examined, engine, completed)
@@ -330,23 +319,17 @@ def exact_ex(
 # local search
 
 def cleanup_edges(g: Graph, r: int) -> Graph:
-    """Repeatedly delete edges lying in no r-clique.  Count of r-cliques is
-    unchanged (an r-clique's edges each lie in at least that clique)."""
+    """Delete the edges lying in no r-clique.  One pass suffices and the
+    count of r-cliques is unchanged: no r-clique uses a deleted edge, so
+    every kept edge still lies in one."""
     if r < 2:
         raise ValueError("cleanup needs r >= 2")
-    cur = g
-    while True:
-        dead = []
-        for u, v in cur.edges():
-            if not has_clique(cur, r - 2, within=cur.adj[u] & cur.adj[v]):
-                dead.append((u, v))
-        if not dead:
-            return cur
-        rows = list(cur.adj)
-        for u, v in dead:
+    rows = list(g.adj)
+    for u, v in g.edges():
+        if not has_clique(g, r - 2, within=g.adj[u] & g.adj[v]):
             rows[u] &= ~(1 << v)
             rows[v] &= ~(1 << u)
-        cur = Graph(cur.n, tuple(rows))
+    return Graph(g.n, tuple(rows))
 
 
 def clone_move(g: Graph, u: int, v: int) -> Graph:
@@ -418,12 +401,13 @@ def symmetrize(
     full = (1 << n) - 1
 
     cur = cleanup_edges(g, r)
-    history = [count_cliques(cur, r)]
+    history: list[int] = []
     examined = 0
 
     while True:
         cliques_by_r = {rr: clique_mask_list(cur, rr, budget) for rr in needed_rs}
         target = cliques_by_r[r]
+        history.append(len(target))
         kcount = [0] * n
         for c in target:
             for v in _bits(c):
@@ -483,7 +467,6 @@ def symmetrize(
         if chosen is None:
             break
         cur = cleanup_edges(chosen, r)
-        history.append(count_cliques(cur, r))
 
     return SearchReport(
         n=n,

@@ -1,4 +1,5 @@
-"""Import hygiene: every name that src/ or tests/ imports is used.
+"""Code hygiene: every name that src/ or tests/ imports is used, and every
+module-level private function in src/ has a caller.
 
 A name counts as used when the module loads it somewhere, lists it in
 `__all__`, or re-exports it explicitly with the redundant alias form
@@ -9,7 +10,8 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SCANNED = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+SOURCES = sorted((ROOT / "src").rglob("*.py"))
+SCANNED = SOURCES + sorted((ROOT / "tests").rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -49,3 +51,44 @@ def test_scanner_sees_unused_and_used_names():
         "from f import g\n__all__ = ['g']\nprint(c, osp)\n"
     )
     assert unused_imports(source) == [(1, "os"), (3, "b")]
+
+
+def dead_private_functions(sources: dict[str, str]) -> list[tuple[str, int, str]]:
+    """Module-level `_private` functions that no statement but their own def
+    names, in any of the sources (as a name, an attribute or an import)."""
+    defs: list[tuple[str, int, str]] = []
+    used: set[str] = set()
+    for label, source in sources.items():
+        for stmt in ast.parse(source).body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name)
+            if (
+                isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and stmt.name.startswith("_")
+                and not stmt.name.startswith("__")
+            ):
+                defs.append((label, stmt.lineno, stmt.name))
+                names.discard(stmt.name)
+            used |= names
+    return [d for d in defs if d[2] not in used]
+
+
+def test_no_dead_private_functions():
+    sources = {str(path.relative_to(ROOT)): path.read_text() for path in SOURCES}
+    found = [f"{label}:{line}: {name}" for label, line, name in dead_private_functions(sources)]
+    assert not found, "private function never referenced:\n" + "\n".join(found)
+
+
+def test_dead_helper_scanner_sees_callers():
+    sources = {
+        "a.py": "def _used():\n    pass\n\ndef _dead():\n    return _dead()\n\n"
+        "def _imported():\n    pass\n\ndef __dunder__():\n    pass\n",
+        "b.py": "import a\nfrom a import _imported\n\ndef public():\n    a._used()\n",
+    }
+    assert dead_private_functions(sources) == [("a.py", 4, "_dead")]

@@ -1,4 +1,5 @@
 import itertools
+import os
 import random
 from types import SimpleNamespace
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from booklab import patterns, search
-from booklab.canonical import canonical_form
+from booklab.canonical import CanonicalForm, canonical_form
 from booklab.errors import ResourceLimitError
 from booklab.formats import graph6_encode
 from booklab.graphs import (
@@ -152,6 +153,104 @@ def test_generation_cache_holds_one_family():
     )
     assert len(search._GEN_CACHE) == 1
     clear_generation_cache()
+
+
+# per-level class counts of each family for n <= 7, and the candidates an
+# n = 8 run examines (1, 1, 2, 4, 11 are the graphs on n <= 4, all free)
+LEVEL_COUNTS = {
+    "B(3,1)": ([1, 1, 2, 4, 11, 28, 98, 400], 58_587),
+    "B(4,1),H1,K(5)": ([1, 1, 2, 4, 11, 33, 150, 973], 135_419),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(LEVEL_COUNTS))
+def test_generation_levels_are_sorted_canonical_forms(spec):
+    counts, examined_at_8 = LEVEL_COUNTS[spec]
+    family = parse_family(spec)
+    clear_generation_cache()
+    rep = exact_ex(7, 3, family)
+    levels = search._GEN_CACHE[family_signature(family)]
+    assert [len(level) for level in levels] == counts
+    for k, level in enumerate(levels):
+        assert all(type(cf) is CanonicalForm and cf.n == k for cf in level)
+        assert [cf.key for cf in level] == sorted({cf.key for cf in level})
+        for cf in level:
+            g = cf.to_graph()
+            assert canonical_form(g) == cf and is_free(g, family)
+    # every parent on k vertices offers 2^k candidate children
+    assert rep.examined == sum(len(level) << k for k, level in enumerate(levels[:7]))
+    assert sum(len(level) << k for k, level in enumerate(levels)) == examined_at_8
+    clear_generation_cache()
+
+
+def test_generation_examines_every_candidate_at_n8():
+    clear_generation_cache()
+    rep = exact_ex(8, 3, BOWTIE_FREE)
+    assert rep.exhaustive and rep.examined == LEVEL_COUNTS["B(3,1)"][1]
+    clear_generation_cache()
+
+
+def _answers(family):
+    """exact_ex answers for n = 3..7 and r = 3, 4, from a cold cache."""
+    clear_generation_cache()
+    reps = [exact_ex(n, r, family) for n in range(3, 8) for r in (3, 4)]
+    clear_generation_cache()
+    return [(rep.maximum, rep.witnesses, rep.examined, rep.exhaustive) for rep in reps]
+
+
+METAMORPHIC_FAMILIES = {
+    "B(4,1),H1,K(5)": LEMMA_FAMILY,
+    "B(3,1),H2": parse_family("B(3,1),H2"),
+    "C4": ForbiddenFamily((), (cycle_graph(4),)),
+    "K(4),P4": ForbiddenFamily((), (complete_graph(4), from_edges(4, [(0, 1), (1, 2), (2, 3)]))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(METAMORPHIC_FAMILIES))
+def test_relabeled_patterns_give_the_same_answers(name):
+    family = METAMORPHIC_FAMILIES[name]
+    rng = random.Random(name)
+    relabeled = ForbiddenFamily(
+        family.books,
+        tuple(p.permute(rng.sample(range(p.n), p.n)) for p in family.patterns),
+    )
+    assert relabeled.patterns != family.patterns
+    assert _answers(relabeled) == _answers(family)
+
+
+@pytest.mark.parametrize("extra", ["K(6)", "H2"])
+def test_redundant_pattern_gives_the_same_answers(extra):
+    # K(6) and H2 each contain K5, which the lemma family already forbids
+    assert _answers(parse_family(f"B(4,1),H1,K(5),{extra}")) == _answers(LEMMA_FAMILY)
+
+
+def test_process_pool_is_capped_at_the_cpu_count(monkeypatch):
+    # the stub records the pool size and maps in-process, so no worker starts
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    serial = brute_force_labeled(6, 3, BOWTIE_FREE)
+    monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)
+    wide = brute_force_labeled(6, 3, BOWTIE_FREE, jobs=64)
+    assert sizes == [min(64, os.cpu_count() or 1)]
+    monkeypatch.setattr(search.os, "cpu_count", lambda: None)
+    brute_force_labeled(6, 3, BOWTIE_FREE, jobs=64)
+    assert sizes[-1] == 1
+    assert (wide.maximum, wide.witnesses, wide.examined, wide.exhaustive) == (
+        serial.maximum, serial.witnesses, serial.examined, serial.exhaustive
+    )
 
 
 # ---------------------------------------------------------------------------
