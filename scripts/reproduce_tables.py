@@ -7,6 +7,8 @@ Each table compares a closed form against either an exhaustive search
 """
 
 import argparse
+import contextlib
+import io
 import pathlib
 import sys
 
@@ -38,9 +40,6 @@ def run(out_dir: pathlib.Path | None) -> int:
             code = booklab_main(argv)
         else:
             target = out_dir / f"table_{name.replace('.', '_')}.csv"
-            import contextlib
-            import io
-
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf):
                 code = booklab_main(argv)

@@ -1,9 +1,9 @@
 """Canonical labeling by ordered-partition refinement with backtracking.
 
-The canonical key is the lexicographically smallest upper-triangle
-adjacency bit string (column-major, the graph6 bit order) over all vertex
-orderings the refinement tree reaches.  Two graphs get equal keys exactly
-when they are isomorphic: the key fixes the whole adjacency matrix, and the
+The canonical key is the smallest `graphs.to_mask` (the graph6 bit order)
+over all vertex orderings the refinement tree reaches, as big-endian bytes
+zero-padded at the low end.  Two graphs get equal keys exactly when they
+are isomorphic: the key fixes the whole adjacency matrix, and the
 refinement steps are label-independent, so isomorphic graphs explore the
 same tree up to relabeling.
 """
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, _bits
+from .graphs import Graph, _bits, from_mask
 
 
 @dataclass(frozen=True)
@@ -24,20 +24,8 @@ class CanonicalForm:
 
     def to_graph(self) -> Graph:
         """Rebuild the canonical representative the key encodes."""
-        n = self.n
-        nbits = n * (n - 1) // 2
-        total = int.from_bytes(self.key, "big")
-        pad = (-nbits) % 8
-        total >>= pad
-        rows = [0] * n
-        k = nbits
-        for j in range(1, n):
-            for i in range(j):
-                k -= 1
-                if (total >> k) & 1:
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-        return Graph(n, tuple(rows))
+        nbits = self.n * (self.n - 1) // 2
+        return from_mask(self.n, int.from_bytes(self.key, "big") >> (-nbits % 8))
 
 
 def _refine(adj: tuple[int, ...], cells: list[int]) -> list[int]:
@@ -88,7 +76,8 @@ def _twin_representatives(adj: tuple[int, ...], cell: int) -> list[int]:
 
 
 def _encode(adj: tuple[int, ...], perm: list[int], n: int) -> int:
-    """Column-major upper-triangle bits of the relabeled graph, first bit highest."""
+    """`to_mask` of the graph relabeled so that perm[j] becomes j, inlined
+    because it runs once per leaf, where relabeling first costs more."""
     key = 0
     for j in range(1, n):
         pj = perm[j]

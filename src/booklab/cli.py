@@ -41,6 +41,9 @@ from .search import SearchReport, exact_ex, symmetrize
 
 SCHEMA = "booklab/1"
 
+#: largest n of tables 1.1 and 2.1, whose rows are exhaustive searches with no deadline
+TABLE_SEARCH_N_MAX = 8
+
 
 def _read_graph(spec: str) -> Graph:
     if spec == "-":
@@ -215,6 +218,9 @@ def _cmd_beta(args) -> int:
 
 
 def _table_rows(theorem: str, n_min: int, n_max: int) -> list[dict]:
+    if theorem in ("1.1", "2.1") and n_max > TABLE_SEARCH_N_MAX:
+        raise ResourceLimitError(f"table {theorem} stops at n={TABLE_SEARCH_N_MAX}; "
+                                 f"for n={n_max} use `booklab exact --max-seconds`")
     rows = []
     if theorem == "1.1":
         fam = parse_family("B(3,1)")

@@ -1,22 +1,14 @@
 """graph6 and plain edge-list serialization.
 
-graph6 packs the upper triangle column-major, six bits per printable byte
-(offset 63).  The edge-list format is a vertex count line followed by one
-"u v" line per edge, 0-based.  Both round-trip bit-exactly.
+graph6 is a vertex-count header followed by `graphs.to_mask` in six-bit
+groups, zero-padded at the end, one printable byte (offset 63) per group.
+The edge-list format is a vertex count line followed by one "u v" line per
+edge, 0-based.  Both round-trip bit-exactly.
 """
 
 from __future__ import annotations
 
-from .graphs import Graph, _check_order, from_edges
-
-
-def _triangle_bits(g: Graph) -> list[int]:
-    bits = []
-    for j in range(1, g.n):
-        col = g.adj[j]
-        for i in range(j):
-            bits.append((col >> i) & 1)
-    return bits
+from .graphs import Graph, _check_order, from_edges, from_mask, to_mask
 
 
 def graph6_encode(g: Graph) -> str:
@@ -26,15 +18,10 @@ def graph6_encode(g: Graph) -> str:
         head = [n + 63]
     else:
         head = [126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
-    bits = _triangle_bits(g)
-    while len(bits) % 6:
-        bits.append(0)
-    body = []
-    for k in range(0, len(bits), 6):
-        val = 0
-        for b in bits[k : k + 6]:
-            val = (val << 1) | b
-        body.append(val + 63)
+    nbits = n * (n - 1) // 2
+    pad = -nbits % 6
+    bits = format(to_mask(g) << pad, f"0{nbits + pad}b")
+    body = [int(bits[k : k + 6], 2) + 63 for k in range(0, nbits + pad, 6)]
     return bytes(head + body).decode("ascii")
 
 
@@ -58,22 +45,11 @@ def graph6_decode(text: str) -> Graph:
     nbits = n * (n - 1) // 2
     if len(body) != (nbits + 5) // 6:
         raise ValueError(f"graph6 body length {len(body)} wrong for n={n}")
-    bits = []
-    for byte in body:
-        val = byte - 63
-        for shift in range(5, -1, -1):
-            bits.append((val >> shift) & 1)
-    if any(bits[nbits:]):
+    mask = int("0" + "".join(format(byte - 63, "06b") for byte in body), 2)
+    pad = 6 * len(body) - nbits
+    if mask & ((1 << pad) - 1):
         raise ValueError("nonzero padding bits in graph6 body")
-    rows = [0] * n
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            k += 1
-    return Graph(n, tuple(rows))
+    return from_mask(n, mask >> pad)
 
 
 def edge_list_encode(g: Graph) -> str:

@@ -176,31 +176,28 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# edge masks: pairs (i, j), i < j, in lexicographic order, one bit per pair.
-# Used by the labeled search engine and by tests that sweep all graphs.
+# edge masks, the one upper-triangle codec of graph6, canonical keys and the
+# labeled sweep: pair (i, j), i < j, column by column, (0,1) in the highest
+# of the C(n,2) bits.  One format/int call per column keeps both linear.
 
 def from_mask(n: int, mask: int) -> Graph:
+    nbits = n * (n - 1) // 2
+    # reversed, character p is bit p, and column j reads (j-1, j) .. (0, j)
+    bits = format(mask, f"0{nbits}b")[::-1]
     rows = [0] * n
-    k = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (mask >> k) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            k += 1
+    for j in range(1, n):
+        rows[j] = col = int(bits[nbits - j * (j + 1) // 2 : nbits - j * (j - 1) // 2], 2)
+        jb = 1 << j
+        while col:
+            low = col & -col
+            rows[low.bit_length() - 1] |= jb
+            col ^= low
     return Graph(n, tuple(rows))
 
 
 def to_mask(g: Graph) -> int:
-    mask = 0
-    k = 0
-    for i in range(g.n):
-        row = g.adj[i]
-        for j in range(i + 1, g.n):
-            if (row >> j) & 1:
-                mask |= 1 << k
-            k += 1
-    return mask
+    cols = (format(g.adj[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, g.n))
+    return int("0" + "".join(cols), 2)
 
 
 # ---------------------------------------------------------------------------

@@ -77,9 +77,6 @@ class ForbiddenFamily:
             self, "noncomplete", tuple(p for p, c in zip(self.patterns, complete) if not c)
         )
 
-    def is_empty(self) -> bool:
-        return not self.books and not self.patterns
-
 
 def book_graph(spec: BookSpec) -> Graph:
     """The book itself: K_r on 0..r-1 and K_r on r-s..2r-s-1, sharing s vertices."""

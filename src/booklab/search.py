@@ -34,6 +34,7 @@ from .graphs import (
     count_cliques,
     empty_graph,
     enumerate_clique_masks,
+    from_edges,
     from_mask,
     has_clique,
     nonedge_orbit_reps,
@@ -454,6 +455,8 @@ def symmetrize(
                         )
                         if gain > 0:
                             triples.append((y, x, z, gain))
+            # the sort below is total, so this shuffle never changes the pick;
+            # it stays because it advances the rng that later shuffles read
             if rng is not None:
                 rng.shuffle(triples)
             triples.sort(key=lambda t: (-t[3], t[0], t[1], t[2]))
@@ -490,12 +493,7 @@ def random_free_graph(n: int, family: ForbiddenFamily, rng: random.Random, p: fl
     for pat in family.patterns:
         if pat.edge_count() == 0:
             raise ValueError("family forbids an edgeless pattern; no repair can succeed")
-    nbits = n * (n - 1) // 2
-    mask = 0
-    for k in range(nbits):
-        if rng.random() < p:
-            mask |= 1 << k
-    g = from_mask(n, mask)
+    g = from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
     while True:
         span = first_violation(g, family)
         if span is None:

@@ -229,6 +229,17 @@ def test_table_csv(capsys):
     assert all(line.endswith("true") for line in out.strip().splitlines()[1:])
 
 
+@pytest.mark.parametrize("theorem", ["1.1", "2.1"])
+def test_search_tables_refuse_orders_past_their_bound(capsys, theorem):
+    t0 = time.perf_counter()
+    code = main(["table", "--theorem", theorem, "--n-max", "9"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert time.perf_counter() - t0 < 1.0
+    assert captured.out == ""
+    assert "booklab exact --max-seconds" in captured.err
+
+
 def test_table_17_lower(capsys):
     rows = run_table(capsys, "table", "--theorem", "1.7-lower", "--n-max", "120",
                      "--n-min", "6")

@@ -1,5 +1,6 @@
-"""Code hygiene: every name that src/ or tests/ imports is used, and every
-module-level private function in src/ has a caller.
+"""Code hygiene: every name that src/, tests/ or scripts/ imports is used,
+every module-level private function in src/ has a caller, and every script
+starts.
 
 A name counts as used when the module loads it somewhere, lists it in
 `__all__`, or re-exports it explicitly with the redundant alias form
@@ -7,11 +8,17 @@ A name counts as used when the module loads it somewhere, lists it in
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src").rglob("*.py"))
-SCANNED = SOURCES + sorted((ROOT / "tests").rglob("*.py"))
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+SCANNED = SOURCES + sorted((ROOT / "tests").rglob("*.py")) + SCRIPTS
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -92,3 +99,12 @@ def test_dead_helper_scanner_sees_callers():
         "b.py": "import a\nfrom a import _imported\n\ndef public():\n    a._used()\n",
     }
     assert dead_private_functions(sources) == [("a.py", 4, "_dead")]
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
+def test_script_help_exits_zero(script):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(script), "--help"], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr

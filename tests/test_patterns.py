@@ -192,7 +192,7 @@ def test_parse_family_roundtrip():
 
 
 def test_parse_family_rejects():
-    assert parse_family("").is_empty()
+    assert parse_family("") == ForbiddenFamily()
     with pytest.raises(ValueError):
         parse_family("B(3,3)")
     with pytest.raises(ValueError):
