@@ -31,35 +31,24 @@ class CanonicalForm:
 def _refine(adj: tuple[int, ...], cells: list[int]) -> list[int]:
     """Split cells by neighbor counts toward every cell until stable.
 
-    Cells are vertex bit masks in a significant order; sub-cells are ordered
-    by their count signatures, so the outcome is label-independent.
+    Cells are vertex bit masks in a significant order.  Each round splits
+    every cell by the counts toward the previous round's cells and orders
+    the sub-cells by those signatures, so the outcome is label-independent.
     """
     while True:
-        sigs: dict[int, tuple[int, ...]] = {}
-        for c in cells:
-            if c.bit_count() == 1:
-                continue
-            for v in _bits(c):
-                sigs[v] = tuple((adj[v] & c2).bit_count() for c2 in cells)
         new_cells: list[int] = []
-        changed = False
         for c in cells:
             if c.bit_count() == 1:
                 new_cells.append(c)
                 continue
             groups: dict[tuple[int, ...], int] = {}
             for v in _bits(c):
-                groups.setdefault(sigs[v], 0)
-                groups[sigs[v]] |= 1 << v
-            if len(groups) == 1:
-                new_cells.append(c)
-            else:
-                changed = True
-                for sig in sorted(groups):
-                    new_cells.append(groups[sig])
-        cells = new_cells
-        if not changed:
+                sig = tuple([(adj[v] & c2).bit_count() for c2 in cells])
+                groups[sig] = groups.get(sig, 0) | 1 << v
+            new_cells += [groups[sig] for sig in sorted(groups)]
+        if len(new_cells) == len(cells):
             return cells
+        cells = new_cells
 
 
 def _twin_representatives(adj: tuple[int, ...], cell: int) -> list[int]:

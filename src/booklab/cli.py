@@ -13,7 +13,6 @@ import sys
 import time
 from pathlib import Path
 
-from . import patterns
 from .constructions import (
     b42_construction,
     b42_count,
@@ -26,7 +25,7 @@ from .constructions import (
 )
 from .errors import ResourceLimitError
 from .formats import edge_list_encode, graph6_encode, parse_graph_text
-from .graphs import Graph, count_cliques
+from .graphs import Graph, _check_clique_count, count_cliques
 from .partitions import Partition, beta, enumerate_partitions, is_s_sum_free
 from .patterns import (
     BookSpec,
@@ -146,12 +145,7 @@ def _cmd_construct(args) -> int:
     else:
         # the default family is one book on predicted_count r-cliques, which
         # is_free would list in full before its budget stops it
-        budget = patterns.CLIQUE_BUDGET
-        if predicted > budget:
-            r = default_family.books[0].r
-            raise ResourceLimitError(
-                f"more than {budget} cliques of size {r}; raise the budget to proceed"
-            )
+        _check_clique_count(predicted, default_family.books[0].r)
         family = default_family
     sidecar = {
         "schema": SCHEMA,

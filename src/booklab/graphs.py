@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from typing import Iterator
 
 from .errors import ResourceLimitError
@@ -19,11 +20,23 @@ from .errors import ResourceLimitError
 #: but keep it at most 258047, the largest order graph6_encode's header holds.
 VERTEX_CAP = 4096
 
+#: Every materialized clique list stops past this many cliques.
+CLIQUE_BUDGET = 10**6
+
 
 def _check_order(n: int) -> None:
     """The one vertex-count guard: every builder and codec calls it before allocating."""
     if not 0 <= n <= VERTEX_CAP:
         raise ValueError(f"vertex count {n} outside [0, {VERTEX_CAP}]")
+
+
+def _check_clique_count(count: int, r: int) -> None:
+    """The one clique-budget guard, read at call time: every clique list
+    and the CLI's up-front check on a construction's predicted count."""
+    if count > CLIQUE_BUDGET:
+        raise ResourceLimitError(
+            f"more than {CLIQUE_BUDGET} cliques of size {r}; raise the budget to proceed"
+        )
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -284,15 +297,10 @@ def clique_number(g: Graph) -> int:
     return w
 
 
-def clique_mask_list(g: Graph, r: int, budget: int | None = None) -> list[int]:
-    """Materialize all r-cliques as masks; budget guards pathological inputs."""
-    out: list[int] = []
-    for mask in enumerate_clique_masks(g, r):
-        out.append(mask)
-        if budget is not None and len(out) > budget:
-            raise ResourceLimitError(
-                f"more than {budget} cliques of size {r}; raise the budget to proceed"
-            )
+def clique_mask_list(g: Graph, r: int) -> list[int]:
+    """Materialize all r-cliques as masks, refusing past CLIQUE_BUDGET."""
+    out = list(islice(enumerate_clique_masks(g, r), CLIQUE_BUDGET + 1))
+    _check_clique_count(len(out), r)
     return out
 
 
@@ -331,9 +339,9 @@ def _embed(
     """First embedding of h into g with each pin (p, w) sending p to w.
 
     The pins name distinct pattern vertices.  Returns the host vertex of
-    every pattern vertex, or None.  Pinned vertices are placed first, the
-    rest in the order of h's cached plan, and host candidates are tried in
-    ascending order.
+    every pattern vertex, or None.  Pinned vertices are placed first, each
+    with its host vertex as its only candidate, the rest in the order of h's
+    cached plan, and host candidates are tried in ascending order.
     """
     if h.n > g.n:
         return None
@@ -341,22 +349,13 @@ def _embed(
     adj = g.adj
     nh = h.n
     image = [0] * nh
-    used = 0
-    for idx, (p, w) in enumerate(pins):
-        row = adj[w]
-        if (used >> w) & 1 or row.bit_count() < need[idx]:
-            return None
-        for q in earlier[idx]:
-            if not (row >> image[q]) & 1:
-                return None
-        image[p] = w
-        used |= 1 << w
     full = (1 << g.n) - 1
+    start = [1 << w for _, w in pins] + [full] * (nh - len(pins))
 
     def place(idx: int, used: int) -> bool:
         if idx == nh:
             return True
-        cand = full & ~used
+        cand = start[idx] & ~used
         for q in earlier[idx]:
             cand &= adj[image[q]]
         d = need[idx]
@@ -372,7 +371,7 @@ def _embed(
                 return True
         return False
 
-    return tuple(image) if place(len(pins), used) else None
+    return tuple(image) if place(0, 0) else None
 
 
 def find_subgraph(

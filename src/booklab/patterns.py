@@ -22,9 +22,6 @@ from .graphs import (
     from_edges,
 )
 
-#: Book detection materializes the clique list; beyond this it refuses.
-CLIQUE_BUDGET = 10**6
-
 
 @dataclass(frozen=True)
 class BookSpec:
@@ -100,10 +97,9 @@ def book_violation(g: Graph, spec: BookSpec) -> CliqueWitness | None:
     row-major order is returned, so the witness is deterministic.  One pass
     over j keeps, per vertex, the bitset of earlier cliques holding it;
     at[t] collects the earlier cliques sharing at least t vertices with
-    clique j.  Raises ResourceLimitError past CLIQUE_BUDGET, read at call
-    time.
+    clique j.  Raises ResourceLimitError past `graphs.CLIQUE_BUDGET`.
     """
-    masks = clique_mask_list(g, spec.r, CLIQUE_BUDGET)
+    masks = clique_mask_list(g, spec.r)
     s = spec.s
     cols = [0] * g.n
     hit = None
@@ -279,10 +275,3 @@ def find_pattern_violation(
         if image is not None:
             return _pattern_name(p), image
     return None
-
-
-def family_signature(family: ForbiddenFamily) -> tuple:
-    """Label-insensitive hashable key, shared by isomorphic families."""
-    books = tuple(sorted((b.r, b.s) for b in family.books))
-    pats = tuple(sorted((cf.n, cf.key) for cf in map(canonical_form, family.patterns)))
-    return (books, pats)

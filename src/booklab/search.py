@@ -22,7 +22,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from . import patterns
 from .canonical import CanonicalForm, canonical_form
 from .errors import ResourceLimitError
 from .graphs import (
@@ -40,7 +39,7 @@ from .graphs import (
     nonedge_orbit_reps,
 )
 from .graphs import find_subgraph as find_subgraph  # explicit re-export, kept importable
-from .patterns import ForbiddenFamily, family_signature, first_violation, is_free
+from .patterns import ForbiddenFamily, first_violation, is_free
 
 LABELED_DEFAULT_CAP = 7
 CANONICAL_DEFAULT_CAP = 10
@@ -206,7 +205,6 @@ def _canonical_shard(args):
     """Canonical forms of the free children of each parent, and how many
     parents were extended before the deadline."""
     parents, family, deadline = args
-    budget = patterns.CLIQUE_BUDGET
     found: set[CanonicalForm] = set()
     extended = 0
     for parent in parents:
@@ -214,7 +212,7 @@ def _canonical_shard(args):
             break
         k = parent.n
         parent_cliques = {
-            rr: clique_mask_list(parent, rr, budget) for rr in {b.r for b in family.books}
+            rr: clique_mask_list(parent, rr) for rr in {b.r for b in family.books}
         }
         for smask in range(1 << k):
             child = _child_graph(parent, smask)
@@ -224,9 +222,9 @@ def _canonical_shard(args):
     return found, extended
 
 
-# cache: family signature -> levels; levels[k] is the key-sorted list of
-# canonical forms of the free classes on k vertices
-_GEN_CACHE: dict[tuple, list[list[CanonicalForm]]] = {}
+# cache: family -> levels; levels[k] is the key-sorted list of canonical
+# forms of the free classes on k vertices
+_GEN_CACHE: dict[ForbiddenFamily, list[list[CanonicalForm]]] = {}
 
 
 def clear_generation_cache() -> None:
@@ -242,13 +240,12 @@ def _generation_levels(family: ForbiddenFamily, n: int, deadline, jobs: int):
     abort never poisons the cache; the level it cut short is returned after
     the cached ones, and examined counts only the parents extended for it.
     """
-    sig = family_signature(family)
-    if sig not in _GEN_CACHE:
+    if family not in _GEN_CACHE:
         # the cache holds one family's levels
         _GEN_CACHE.clear()
         base = empty_graph(0)
-        _GEN_CACHE[sig] = [[canonical_form(base)] if is_free(base, family) else []]
-    levels = _GEN_CACHE[sig]
+        _GEN_CACHE[family] = [[canonical_form(base)] if is_free(base, family) else []]
+    levels = _GEN_CACHE[family]
     while len(levels) <= n:
         k = len(levels) - 1
         parents = [cf.to_graph() for cf in levels[k]]
@@ -397,7 +394,6 @@ def symmetrize(
         raise ValueError("symmetrize requires a family-free starting graph")
     rng = random.Random(seed) if seed is not None else None
     needed_rs = {b.r for b in family.books} | {r}
-    budget = patterns.CLIQUE_BUDGET
     n = g.n
     full = (1 << n) - 1
 
@@ -406,7 +402,7 @@ def symmetrize(
     examined = 0
 
     while True:
-        cliques_by_r = {rr: clique_mask_list(cur, rr, budget) for rr in needed_rs}
+        cliques_by_r = {rr: clique_mask_list(cur, rr) for rr in needed_rs}
         target = cliques_by_r[r]
         history.append(len(target))
         kcount = [0] * n

@@ -10,7 +10,7 @@ import itertools
 import hypothesis
 from hypothesis import strategies as st
 
-from booklab.graphs import Graph, from_mask
+from booklab.graphs import Graph, from_edges, from_mask
 
 hypothesis.settings.register_profile("default", deadline=None)
 hypothesis.settings.register_profile("thorough", deadline=None, max_examples=400)
@@ -34,6 +34,27 @@ def graphs_with_vertex_pair(draw, min_n=2, max_n=8):
     u = draw(st.integers(min_value=0, max_value=g.n - 1))
     v = draw(st.integers(min_value=0, max_value=g.n - 1))
     return g, u, v
+
+
+# ---------------------------------------------------------------------------
+# highly symmetric graphs, hard cases for canonical labeling
+
+
+def kneser(m, k):
+    """Vertices are the k-subsets of range(m), adjacent when disjoint."""
+    subsets = [set(c) for c in itertools.combinations(range(m), k)]
+    return from_edges(
+        len(subsets),
+        [(a, b) for a, b in itertools.combinations(range(len(subsets)), 2)
+         if not subsets[a] & subsets[b]],
+    )
+
+
+def paley(q):
+    """Vertices are Z_q (q prime, q = 1 mod 4), adjacent when they differ by a square."""
+    squares = {x * x % q for x in range(1, q)}
+    return from_edges(q, [(a, b) for a, b in itertools.combinations(range(q), 2)
+                          if (b - a) % q in squares])
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from booklab.canonical import CanonicalForm, canonical_form
+from booklab.canonical import CanonicalForm, _refine, canonical_form
 from booklab.graphs import (
+    _bits,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -16,7 +18,7 @@ from booklab.graphs import (
     turan_graph,
 )
 
-from conftest import graphs, oracle_canonical_key
+from conftest import graphs, kneser, oracle_canonical_key, paley
 
 
 @given(graphs(max_n=7), st.integers(min_value=0, max_value=2**30))
@@ -91,3 +93,88 @@ def test_keys_are_bytes_and_orderable():
     assert isinstance(cf1.key, bytes)
     assert cf1.key != cf2.key
     assert sorted([cf1, cf2], key=lambda c: c.key)
+
+
+def two_pass_refine(adj, cells):
+    """The refinement before its one-pass rewrite, kept as the oracle: every
+    signature first, then a grouping pass with a changed flag."""
+    while True:
+        sigs = {}
+        for c in cells:
+            if c.bit_count() == 1:
+                continue
+            for v in _bits(c):
+                sigs[v] = tuple((adj[v] & c2).bit_count() for c2 in cells)
+        new_cells = []
+        changed = False
+        for c in cells:
+            if c.bit_count() == 1:
+                new_cells.append(c)
+                continue
+            groups = {}
+            for v in _bits(c):
+                groups.setdefault(sigs[v], 0)
+                groups[sigs[v]] |= 1 << v
+            if len(groups) == 1:
+                new_cells.append(c)
+            else:
+                changed = True
+                for sig in sorted(groups):
+                    new_cells.append(groups[sig])
+        cells = new_cells
+        if not changed:
+            return cells
+
+
+@st.composite
+def graphs_with_ordered_partition(draw, max_n=10):
+    """A graph and an ordered partition of its vertices into cell masks."""
+    g = draw(graphs(max_n=max_n))
+    order = draw(st.permutations(range(g.n)))
+    cuts = draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
+    cells, cell = [], 0
+    for v, cut in zip(order, cuts):
+        cell |= 1 << v
+        if cut or v == order[-1]:
+            cells.append(cell)
+            cell = 0
+    return g, cells
+
+
+@given(graphs_with_ordered_partition())
+@settings(max_examples=400)
+def test_refine_matches_the_two_pass_oracle(case):
+    g, cells = case
+    assert _refine(g.adj, cells) == two_pass_refine(g.adj, cells)
+
+
+def test_refine_matches_the_two_pass_oracle_on_symmetric_graphs():
+    # vertex-transitive graphs refine nothing until a vertex is individualized
+    for g in (kneser(6, 2), kneser(7, 2), paley(13), paley(17)):
+        full = (1 << g.n) - 1
+        starts = [[full]] + [[1 << v, full ^ (1 << v)] for v in range(g.n)]
+        starts += [[1, 1 << v, full ^ 1 ^ (1 << v)] for v in range(1, g.n)]
+        for cells in starts:
+            assert _refine(g.adj, cells) == two_pass_refine(g.adj, cells)
+
+
+# canonical key hex of highly symmetric graphs, recorded before the
+# refinement became one pass
+SYMMETRIC_KEY_PINS = {
+    "Kneser(7,2)": (
+        lambda: kneser(7, 2), "00007ae6c743c139eb5ad697386733d6aadacc73993d6a93ce6400"
+    ),
+    "Paley(13)": (lambda: paley(13), "055ae539db865ba53914"),
+    "Paley(17)": (lambda: paley(17), "04d49b574a3c773a6d93475ca37451da0d"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC_KEY_PINS))
+def test_symmetric_keys_are_pinned_under_relabeling(name):
+    build, key_hex = SYMMETRIC_KEY_PINS[name]
+    g = build()
+    assert canonical_form(g).key.hex() == key_hex
+    for seed in range(3):
+        perm = list(range(g.n))
+        random.Random(seed).shuffle(perm)
+        assert canonical_form(g.permute(perm)).key.hex() == key_hex

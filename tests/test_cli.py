@@ -3,7 +3,6 @@ import time
 
 import pytest
 
-from booklab import patterns
 from booklab.cli import main
 from booklab.formats import graph6_decode, graph6_encode
 from booklab.graphs import complete_graph, count_cliques, turan_graph
@@ -264,7 +263,7 @@ def test_exit_codes(capsys):
 
 
 def test_free_honors_a_lowered_clique_budget(capsys, monkeypatch):
-    monkeypatch.setattr(patterns, "CLIQUE_BUDGET", 2)
+    monkeypatch.setattr("booklab.graphs.CLIQUE_BUDGET", 2)
     assert main(["free", "--input", K6, "--forbid", "B(3,0)"]) == 3
     capsys.readouterr()
 

@@ -21,7 +21,7 @@ from booklab.formats import graph6_decode, graph6_encode
 from booklab.graphs import cycle_graph, from_edges, from_mask, to_mask, turan_graph
 from booklab.patterns import h1_graph, h2_graph
 
-from conftest import graphs
+from conftest import graphs, kneser
 
 
 def petersen():
@@ -29,15 +29,6 @@ def petersen():
     spokes = [(i, i + 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     return from_edges(10, outer + spokes + inner)
-
-
-def kneser(m, k):
-    subsets = [set(c) for c in itertools.combinations(range(m), k)]
-    return from_edges(
-        len(subsets),
-        [(a, b) for a, b in itertools.combinations(range(len(subsets)), 2)
-         if not subsets[a] & subsets[b]],
-    )
 
 
 def seeded_graph(n, seed, p=0.5):

@@ -1,8 +1,10 @@
 """The embedding kernel's pins and the automorphism-orbit helpers, against
 permutation brute force."""
 
+import hashlib
 import itertools
 import os
+import random
 import subprocess
 import sys
 
@@ -12,9 +14,11 @@ import booklab
 from booklab.graphs import (
     _embed,
     contains_subgraph_at,
+    cycle_graph,
     find_subgraph,
     from_edges,
     nonedge_orbit_reps,
+    path_graph,
     vertex_orbit_reps,
 )
 from booklab.patterns import h1_graph, h2_graph
@@ -114,3 +118,39 @@ def test_nothing_is_planned_at_import():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.split() == ["0", "0", "0"]
+
+
+# SHA-256 over the result of every `_embed` call below, recorded before the
+# pins became ordinary positions of the search.  It pins the first embedding
+# found, which `first_violation` masks and the CLI's `free` witnesses read.
+FIRST_EMBEDDINGS_SHA256 = "124c0c5203e3d02dfe69a9f7df2018e8c4b1aba1b91233751bc4b06a89f5a0d2"
+
+
+def test_first_embeddings_are_pinned():
+    pats = {
+        "C4": cycle_graph(4),
+        "H1": h1_graph(),
+        "H2": h2_graph(),
+        "K13": from_edges(4, [(0, 1), (0, 2), (0, 3)]),
+        "P4": path_graph(4),
+    }
+    rng = random.Random(2024)
+    digest = hashlib.sha256()
+    for n in range(1, 13):
+        for p in (0.45, 0.75):
+            g = from_edges(
+                n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+            )
+            for name in sorted(pats):
+                h = pats[name]
+                # every zero-, one- and two-pin choice, a host vertex twice included
+                pinsets = [()] + [((a, w),) for a in range(h.n) for w in range(n)]
+                pinsets += [
+                    ((a, w), (b, x))
+                    for a, b in itertools.permutations(range(h.n), 2)
+                    for w in range(n)
+                    for x in range(n)
+                ]
+                for pins in pinsets:
+                    digest.update(repr(_embed(g, h, pins)).encode())
+    assert digest.hexdigest() == FIRST_EMBEDDINGS_SHA256

@@ -104,9 +104,13 @@ def test_clique_number_examples():
     assert clique_number(turan_graph(9, 3)) == 3
 
 
-def test_clique_mask_budget():
-    with pytest.raises(ResourceLimitError):
-        clique_mask_list(complete_graph(16), 2, budget=100)
+def test_clique_mask_budget(monkeypatch):
+    # K16 has 120 edges: a budget of exactly 120 lists them all, 119 refuses
+    monkeypatch.setattr("booklab.graphs.CLIQUE_BUDGET", 120)
+    assert len(clique_mask_list(complete_graph(16), 2)) == 120
+    monkeypatch.setattr("booklab.graphs.CLIQUE_BUDGET", 119)
+    with pytest.raises(ResourceLimitError, match="more than 119 cliques of size 2; raise"):
+        clique_mask_list(complete_graph(16), 2)
 
 
 def test_turan_part_sizes():

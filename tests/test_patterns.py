@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import booklab
-from booklab import patterns
 from booklab.errors import ResourceLimitError
 from booklab.graphs import (
     clique_mask_list,
@@ -28,7 +27,6 @@ from booklab.patterns import (
     ForbiddenFamily,
     book_graph,
     book_violation,
-    family_signature,
     family_to_text,
     find_pattern_violation,
     first_violation,
@@ -215,13 +213,6 @@ def test_find_pattern_violation():
     assert find_pattern_violation(turan_graph(8, 2), fam) is None
 
 
-def test_family_signature_order_insensitive():
-    a = parse_family("B(4,1),H1,K(5)")
-    b = parse_family("K(5),B(4,1),H1")
-    assert family_signature(a) == family_signature(b)
-    assert family_signature(a) != family_signature(parse_family("B(4,1),H1"))
-
-
 def _row_major_first_pair(g, spec):
     """The first pair (i, j), i < j, of listed r-cliques meeting in exactly s vertices."""
     masks = clique_mask_list(g, spec.r)
@@ -266,7 +257,7 @@ def test_book_scan_without_a_hit():
 
 def test_clique_budget_is_read_at_call_time(monkeypatch):
     # K6 has twenty triangles; a budget lowered after import must still hold
-    monkeypatch.setattr(patterns, "CLIQUE_BUDGET", 2)
+    monkeypatch.setattr("booklab.graphs.CLIQUE_BUDGET", 2)
     with pytest.raises(ResourceLimitError):
         is_free(complete_graph(6), parse_family("B(3,0)"))
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from booklab import patterns, search
+from booklab import search
 from booklab.canonical import CanonicalForm, canonical_form
 from booklab.errors import ResourceLimitError
 from booklab.formats import graph6_encode
@@ -25,7 +25,6 @@ from booklab.graphs import (
 from booklab.patterns import (
     BookSpec,
     ForbiddenFamily,
-    family_signature,
     h1_graph,
     h2_graph,
     is_free,
@@ -146,7 +145,7 @@ def test_generation_cache_holds_one_family():
     clear_generation_cache()
     first = exact_ex(6, 3, BOWTIE_FREE)
     exact_ex(6, 4, LEMMA_FAMILY)
-    assert list(search._GEN_CACHE) == [family_signature(LEMMA_FAMILY)]
+    assert list(search._GEN_CACHE) == [LEMMA_FAMILY]
     again = exact_ex(6, 3, BOWTIE_FREE)
     assert (again.maximum, again.witnesses, again.examined) == (
         first.maximum, first.witnesses, first.examined
@@ -169,7 +168,7 @@ def test_generation_levels_are_sorted_canonical_forms(spec):
     family = parse_family(spec)
     clear_generation_cache()
     rep = exact_ex(7, 3, family)
-    levels = search._GEN_CACHE[family_signature(family)]
+    levels = search._GEN_CACHE[family]
     assert [len(level) for level in levels] == counts
     for k, level in enumerate(levels):
         assert all(type(cf) is CanonicalForm and cf.n == k for cf in level)
@@ -418,7 +417,7 @@ def test_random_free_graph_repairs_complete_patterns_in_family_order():
 def test_clique_budget_bounds_climb_and_generation(monkeypatch):
     # K4 has four triangles and is B(3,1)-free: past a budget of two, both
     # the climb and the extension of a K4 parent must refuse
-    monkeypatch.setattr(patterns, "CLIQUE_BUDGET", 2)
+    monkeypatch.setattr("booklab.graphs.CLIQUE_BUDGET", 2)
     with pytest.raises(ResourceLimitError):
         symmetrize(complete_graph(4), 3, BOWTIE_FREE)
     clear_generation_cache()
