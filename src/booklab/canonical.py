@@ -51,13 +51,16 @@ def _refine(adj: tuple[int, ...], cells: list[int]) -> list[int]:
         cells = new_cells
 
 
-def _twin_representatives(adj: tuple[int, ...], cell: int) -> list[int]:
-    """One vertex per twin class of the cell; swapping twins is an automorphism."""
+def _twin_representatives(adj: tuple[int, ...], cell: int, twins: dict[int, int]) -> list[int]:
+    """One vertex per twin class of the cell.  Swapping twins is an
+    automorphism; each pruned twin v maps to the first representative it
+    was pruned against in `twins`."""
     reps: list[int] = []
     for v in _bits(cell):
         vb = 1 << v
         for u in reps:
             if (adj[u] ^ adj[v]) & ~((1 << u) | vb) == 0:
+                twins.setdefault(v, u)
                 break
         else:
             reps.append(v)
@@ -75,30 +78,58 @@ def _encode(adj: tuple[int, ...], perm: list[int], n: int) -> int:
     return key
 
 
-def canonical_form(g: Graph) -> CanonicalForm:
+def _canonical_search(g: Graph) -> tuple[CanonicalForm, tuple[tuple[int, ...], ...]]:
+    """Canonical form of g and generators of Aut(g), each a tuple sending
+    vertex v to sigma[v].
+
+    The generators are recorded the nauty way.  A leaf whose key equals the
+    first leaf's, or the best so far, gives the automorphism between the two
+    leaf orders, and a pruned twin gives its transposition.  An image of the
+    first leaf under any automorphism reaches a visited leaf through those
+    transpositions, so the generators generate the whole group.  Twins form
+    global classes, and the first scan of a class sees all of it, so each
+    class contributes a star of transpositions.
+    """
     n = g.n
     nbits = n * (n - 1) // 2
     if n <= 1:
-        return CanonicalForm(n, b"")
+        return CanonicalForm(n, b""), ()
     adj = g.adj
-    best: int | None = None
+    first = best = (0, [])
+    gens: dict[tuple[int, ...], None] = {}
+    twins: dict[int, int] = {}
 
     def descend(cells: list[int]) -> None:
-        nonlocal best
+        nonlocal first, best
         for idx, c in enumerate(cells):
             if c.bit_count() > 1:
                 break
         else:
             perm = [c.bit_length() - 1 for c in cells]
             key = _encode(adj, perm, n)
-            if best is None or key < best:
-                best = key
+            if not first[1]:
+                first = best = (key, perm)
+            elif key == first[0] or key == best[0]:
+                sigma = [0] * n
+                for u, v in zip(first[1] if key == first[0] else best[1], perm):
+                    sigma[u] = v
+                gens[tuple(sigma)] = None
+            elif key < best[0]:
+                best = (key, perm)
             return
-        for v in _twin_representatives(adj, c):
+        for v in _twin_representatives(adj, c, twins):
             vb = 1 << v
             descend(_refine(adj, cells[:idx] + [vb, c ^ vb] + cells[idx + 1 :]))
 
     descend(_refine(adj, [(1 << n) - 1]))
-    assert best is not None
+    for v, u in twins.items():
+        sigma = list(range(n))
+        sigma[u], sigma[v] = v, u
+        gens[tuple(sigma)] = None
     pad = (-nbits) % 8
-    return CanonicalForm(n, (best << pad).to_bytes((nbits + pad) // 8, "big"))
+    key = (best[0] << pad).to_bytes((nbits + pad) // 8, "big")
+    return CanonicalForm(n, key), tuple(gens)
+
+
+def canonical_form(g: Graph) -> CanonicalForm:
+    return _canonical_search(g)[0]

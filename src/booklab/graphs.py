@@ -381,9 +381,13 @@ def find_subgraph(
 
     pin=(p, w) forces pattern vertex p onto host vertex w.  Returns None when
     no embedding exists.  Extra host edges are fine; this is plain subgraph
-    containment, not induced.
+    containment, not induced.  A pin outside either graph raises ValueError.
     """
-    return _embed(g, h, () if pin is None else (pin,))
+    if pin is None:
+        return _embed(g, h, ())
+    if not (0 <= pin[0] < h.n and 0 <= pin[1] < g.n):
+        raise ValueError(f"pin {pin} is outside the pattern's {h.n} or the host's {g.n} vertices")
+    return _embed(g, h, (pin,))
 
 
 def contains_subgraph(g: Graph, h: Graph) -> bool:

@@ -5,7 +5,10 @@ family-free graphs on n vertices: a labeled sweep over every edge mask
 (small n, trivially correct) and isomorph-free generation that grows graphs
 one vertex at a time, pruning unfree children and deduplicating levels by
 canonical form.  Pruning is sound because freeness is closed under taking
-subgraphs, so every free graph arises from a free parent.
+subgraphs, so every free graph arises from a free parent.  Each parent is
+extended by one neighbourhood per orbit of its automorphism group on vertex
+subsets, using the generators the canonical search records: isomorphic
+children are equally free and share one class.
 
 The hill climber repeatedly clones one vertex's neighborhood onto another
 (count changes by k_r(target) - k_r(source)); when no single clone improves
@@ -22,7 +25,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .canonical import CanonicalForm, canonical_form
+from .canonical import CanonicalForm, _canonical_search, canonical_form
 from .errors import ResourceLimitError
 from .graphs import (
     Graph,
@@ -31,6 +34,7 @@ from .graphs import (
     clique_mask_list,
     contains_subgraph_at,
     count_cliques,
+    disjoint_union,
     empty_graph,
     enumerate_clique_masks,
     from_edges,
@@ -201,9 +205,47 @@ def _child_is_free(
     return not any(contains_subgraph_at(child, p, k) for p in family.noncomplete)
 
 
+def _neighbourhood_reps(k: int, gens: tuple[tuple[int, ...], ...]) -> list[int]:
+    """The smallest mask of each orbit, on subsets of range(k), of the group
+    that the permutations gens generate.
+
+    Each generator's image table is built by doubling, img[m | 1 << i] =
+    img[m] | 1 << sigma[i] for m < 2^i, so no mask loops over its bits.
+    """
+    tables = []
+    for sigma in gens:
+        img = [0]
+        for i in range(k):
+            b = 1 << sigma[i]
+            img += [m | b for m in img]
+        tables.append(img)
+    seen = bytearray(1 << k)
+    reps = []
+    for m in range(1 << k):
+        if seen[m]:
+            continue
+        reps.append(m)
+        seen[m] = 1
+        stack = [m]
+        while stack:
+            x = stack.pop()
+            for img in tables:
+                y = img[x]
+                if not seen[y]:
+                    seen[y] = 1
+                    stack.append(y)
+    return reps
+
+
 def _canonical_shard(args):
     """Canonical forms of the free children of each parent, and how many
-    parents were extended before the deadline."""
+    parents were extended before the deadline.
+
+    A parent is extended by one neighbourhood mask per orbit of its
+    automorphism group on subsets: the children from S and sigma(S) are
+    isomorphic, and freeness does not change under isomorphism, so the
+    classes found are those of all 2^k extensions.
+    """
     parents, family, deadline = args
     found: set[CanonicalForm] = set()
     extended = 0
@@ -214,7 +256,7 @@ def _canonical_shard(args):
         parent_cliques = {
             rr: clique_mask_list(parent, rr) for rr in {b.r for b in family.books}
         }
-        for smask in range(1 << k):
+        for smask in _neighbourhood_reps(k, _canonical_search(parent)[1]):
             child = _child_graph(parent, smask)
             if _child_is_free(parent, parent_cliques, child, smask, family):
                 found.add(canonical_form(child))
@@ -280,7 +322,15 @@ def canonical_generation(
         return _finish_witnesses(n, r, family, 0, set(), 0, engine, True)
     deadline = None if max_seconds is None else time.monotonic() + max_seconds
     levels, examined, completed = _generation_levels(family, n, deadline, jobs)
-    counts = {cf: count_cliques(cf.to_graph(), r) for cf in (levels[n] if len(levels) > n else ())}
+    if len(levels) > n:
+        graphs = {cf: cf.to_graph() for cf in levels[n]}
+    else:
+        # the deadline stopped below level n: the deepest graphs held, padded
+        # with isolated vertices, give a lower bound where they stay free
+        held = next((level for level in reversed(levels) if level), [])
+        padded = (disjoint_union(cf.to_graph(), empty_graph(n - cf.n)) for cf in held)
+        graphs = {canonical_form(g): g for g in padded if is_free(g, family)}
+    counts = {cf: count_cliques(g, r) for cf, g in graphs.items()}
     best = max(counts.values(), default=-1)
     wit = {cf for cf, c in counts.items() if c == best}
     return _finish_witnesses(n, r, family, best, wit, examined, engine, completed)

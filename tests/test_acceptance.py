@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from booklab import search
 from booklab.canonical import canonical_form
 from booklab.constructions import (
     b42_construction,
@@ -79,12 +80,15 @@ def test_criterion_2_quarter_square_series():
             expected = canonical_form(join(complete_graph(2), turan_graph(n - 2, 2)))
             witness_ok &= rep.witnesses == (expected,)
     elapsed = time.perf_counter() - t0
-    ok = values_ok and witness_ok and elapsed < 300.0
+    # the n = 8 level and the candidates its parents offer, pinned
+    classes = len(search._GEN_CACHE[LEMMA_FAMILY][8])
+    counts_ok = classes == 10_939 and rep.examined == 135_419
+    ok = values_ok and witness_ok and counts_ok and elapsed < 300.0
     _report(
         2,
         ok,
         f"n=4..8 maxima {got}, unique join witness for n=5..8: {witness_ok}, "
-        f"{elapsed:.1f}s (< 300s)",
+        f"{classes} classes and {rep.examined} candidates at n=8, {elapsed:.1f}s (< 300s)",
     )
 
 

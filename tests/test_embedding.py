@@ -8,11 +8,13 @@ import random
 import subprocess
 import sys
 
+import pytest
 from hypothesis import given, settings
 
 import booklab
 from booklab.graphs import (
     _embed,
+    complete_graph,
     contains_subgraph_at,
     cycle_graph,
     find_subgraph,
@@ -103,6 +105,12 @@ def test_pins_match_brute_force(g, h):
             img = _embed(g, h, ((a, wa), (b, wb)))
             assert (img is not None) == any(e[a] == wa and e[b] == wb for e in embs)
             assert img is None or (_is_embedding(g, h, img) and (img[a], img[b]) == (wa, wb))
+
+
+@pytest.mark.parametrize("pin", [(0, 7), (5, 0), (0, -1)])
+def test_pin_out_of_range_is_named(pin):
+    with pytest.raises(ValueError, match=rf"pin \({pin[0]}, {pin[1]}\)"):
+        find_subgraph(complete_graph(4), path_graph(3), pin=pin)
 
 
 def test_nothing_is_planned_at_import():

@@ -141,6 +141,42 @@ def test_deadline_keeps_the_partial_level(monkeypatch):
     clear_generation_cache()
 
 
+def test_deadline_below_level_n_pads_the_deepest_level(monkeypatch):
+    # the fake clock cuts level 7 after 22 of its 98 parents (28 ticks build
+    # level 6), so n = 8 pads the partial level with one isolated vertex
+    clear_generation_cache()
+    warm = exact_ex(5, 3, BOWTIE_FREE)
+    ticks = iter(range(10**6))
+    monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+    rep = exact_ex(8, 3, BOWTIE_FREE, max_seconds=50)
+    monkeypatch.undo()
+    assert not rep.exhaustive
+    assert rep.examined == warm.examined + 28 * 2 ** 5 + 22 * 2 ** 6
+    assert len(search._GEN_CACHE[BOWTIE_FREE]) == 7  # levels 0..6; 7 was cut
+    assert rep.maximum > 0 and rep.witnesses
+    for cf in rep.witnesses:
+        g = cf.to_graph()
+        assert g.n == 8 and min(map(g.degree, range(8))) == 0
+        assert is_free(g, BOWTIE_FREE) and count_cliques(g, 3) == rep.maximum
+    assert rep.maximum <= exact_ex(8, 3, BOWTIE_FREE).maximum
+    clear_generation_cache()
+
+
+def test_deadline_below_level_n_keeps_the_edgeless_rule_when_padding_is_not_free(monkeypatch):
+    # forbidding three independent vertices rejects every graph on 2 vertices
+    # padded to 4, and the edgeless graph on 4 too, so no witness is left
+    family = ForbiddenFamily((), (empty_graph(3),))
+    clear_generation_cache()
+    exact_ex(2, 2, family)
+    ticks = iter(range(10**6))
+    monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+    rep = exact_ex(4, 2, family, max_seconds=0)
+    monkeypatch.undo()
+    assert not rep.exhaustive and len(search._GEN_CACHE[family]) == 3  # levels 0..2
+    assert (rep.maximum, rep.witnesses) == (0, ())
+    clear_generation_cache()
+
+
 def test_generation_cache_holds_one_family():
     clear_generation_cache()
     first = exact_ex(6, 3, BOWTIE_FREE)
@@ -186,6 +222,49 @@ def test_generation_examines_every_candidate_at_n8():
     clear_generation_cache()
     rep = exact_ex(8, 3, BOWTIE_FREE)
     assert rep.exhaustive and rep.examined == LEVEL_COUNTS["B(3,1)"][1]
+    clear_generation_cache()
+
+
+def all_subsets_levels(family, n):
+    """Levels 0..n built the way generation worked before orbit reduction:
+    every parent on k vertices extended by all 2^k neighbourhoods, each
+    child checked by the full `is_free` and deduplicated by canonical form."""
+    base = empty_graph(0)
+    levels = [[canonical_form(base)] if is_free(base, family) else []]
+    for k in range(n):
+        found = set()
+        for cf in levels[k]:
+            edges = list(cf.to_graph().edges())
+            for smask in range(1 << k):
+                child = from_edges(k + 1, edges + [(i, k) for i in range(k) if smask >> i & 1])
+                if is_free(child, family):
+                    found.add(canonical_form(child))
+        levels.append(sorted(found, key=lambda cf: cf.key))
+    return levels
+
+
+DIFFERENTIAL_FAMILIES = {
+    "B(3,1)": BOWTIE_FREE,
+    "B(4,1),H1,K(5)": LEMMA_FAMILY,
+    "B(3,0)": parse_family("B(3,0)"),
+    "B(4,2)": parse_family("B(4,2)"),
+    "K(4)": parse_family("K(4)"),
+    "H2,K(5)": parse_family("H2,K(5)"),
+    "C4": ForbiddenFamily((), (cycle_graph(4),)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_FAMILIES))
+def test_orbit_extension_matches_all_subsets(name):
+    # one neighbourhood per orbit of Aut(parent) finds the same classes as
+    # all 2^k of them, serially and in two shards
+    family = DIFFERENTIAL_FAMILIES[name]
+    oracle = all_subsets_levels(family, 7)
+    for jobs in (1, 2):
+        clear_generation_cache()
+        levels, examined, completed = search._generation_levels(family, 7, None, jobs)
+        assert completed and levels == oracle
+        assert examined == sum(len(level) << k for k, level in enumerate(oracle[:7]))
     clear_generation_cache()
 
 
