@@ -8,7 +8,11 @@ canonical form.  Pruning is sound because freeness is closed under taking
 subgraphs, so every free graph arises from a free parent.  Each parent is
 extended by one neighbourhood per orbit of its automorphism group on vertex
 subsets, using the generators the canonical search records: isomorphic
-children are equally free and share one class.
+children are equally free and share one class.  Only the levels below n are
+generated and cached: the maxima on n vertices come from one bound pass
+over the parents on n - 1 vertices, which scores each child by the
+(r-1)-cliques its new vertex sees, checks freeness only where the score can
+still win and canonicalizes only the winners.
 
 The hill climber repeatedly clones one vertex's neighborhood onto another
 (count changes by k_r(target) - k_r(source)); when no single clone improves
@@ -302,6 +306,53 @@ def _generation_levels(family: ForbiddenFamily, n: int, deadline, jobs: int):
     return levels, sum(len(lv) << j for j, lv in enumerate(levels[:n])), True
 
 
+def _last_level_maxima(parents: list[CanonicalForm], r: int, family: ForbiddenFamily, deadline):
+    """The best r-clique count over the free children of `parents`, found
+    without building their level.
+
+    Every new r-clique of the child P + S contains the new vertex, so the
+    child has count_r(P) plus the number of (r-1)-cliques of P inside S,
+    and no child of P beats count_r(P) + K_{r-1}(P).  Parents are visited in
+    descending order of that bound, down to the first one below the best
+    free child found; within a parent the orbit representatives of S are
+    tested for freeness in descending score, down to the best.  Only the
+    children at the best score need canonicalizing.
+
+    A child with no r-clique cannot change the report, which then names the
+    edgeless graph, so only positive counts are sought.  Returns (best,
+    winners, visited, completed): the winners are the free children found
+    at the best count, best is -1 when none with a positive count was
+    found, and a deadline stops the pass before the next parent.
+    """
+    scored = []
+    for cf in parents:
+        p = cf.to_graph()
+        base, lower = count_cliques(p, r), clique_mask_list(p, r - 1)
+        scored.append((base + len(lower), base, lower, p))
+    scored.sort(key=lambda t: -t[0])  # stable, so ties keep the level's key order
+    best, winners, visited = -1, [], 0
+    for bound, base, lower, p in scored:
+        if bound < max(best, 1):
+            break
+        if deadline is not None and time.monotonic() > deadline:
+            return best, winners, visited, False
+        visited += 1
+        reps = _neighbourhood_reps(p.n, _canonical_search(p)[1])
+        candidates = sorted(
+            ((base + sum(c & s == c for c in lower), s) for s in reps), reverse=True
+        )
+        parent_cliques = {rr: clique_mask_list(p, rr) for rr in {b.r for b in family.books}}
+        for score, s in candidates:
+            if score < max(best, 1):
+                break
+            child = _child_graph(p, s)
+            if _child_is_free(p, parent_cliques, child, s, family):
+                if score > best:
+                    best, winners = score, []
+                winners.append(child)
+    return best, winners, visited, True
+
+
 def canonical_generation(
     n: int,
     r: int,
@@ -311,7 +362,15 @@ def canonical_generation(
     max_seconds: float | None = None,
     jobs: int = 1,
 ) -> SearchReport:
-    """Isomorph-free exhaustive search; one representative per free class."""
+    """Isomorph-free exhaustive search; one representative per free class.
+
+    Levels 0..n-1 are generated (and cached); level n is never built, its
+    maxima come from one bound pass over the parents on n-1 vertices.
+    `examined` counts the 2^(n-1) candidate children of every parent, the
+    ones the bound skipped included.
+    """
+    if r < 1:
+        raise ValueError("clique size must be >= 1")
     cap = CANONICAL_DEFAULT_CAP if cap is None else cap
     if n > cap:
         raise ResourceLimitError(
@@ -321,18 +380,24 @@ def canonical_generation(
     if n < r:
         return _finish_witnesses(n, r, family, 0, set(), 0, engine, True)
     deadline = None if max_seconds is None else time.monotonic() + max_seconds
-    levels, examined, completed = _generation_levels(family, n, deadline, jobs)
-    if len(levels) > n:
-        graphs = {cf: cf.to_graph() for cf in levels[n]}
-    else:
-        # the deadline stopped below level n: the deepest graphs held, padded
-        # with isolated vertices, give a lower bound where they stay free
+    levels, examined, completed = _generation_levels(family, n - 1, deadline, jobs)
+    best, winners = -1, []
+    if completed:
+        parents = levels[n - 1]
+        best, winners, visited, completed = _last_level_maxima(parents, r, family, deadline)
+        examined += (len(parents) if completed else visited) << (n - 1)
+    if best < 0 and not completed:
+        # the deadline came before any free child with an r-clique: the deepest
+        # graphs held, padded with isolated vertices, give a lower bound where
+        # they stay free
         held = next((level for level in reversed(levels) if level), [])
         padded = (disjoint_union(cf.to_graph(), empty_graph(n - cf.n)) for cf in held)
-        graphs = {canonical_form(g): g for g in padded if is_free(g, family)}
-    counts = {cf: count_cliques(g, r) for cf, g in graphs.items()}
-    best = max(counts.values(), default=-1)
-    wit = {cf for cf, c in counts.items() if c == best}
+        free = [g for g in padded if is_free(g, family)]
+        counts = [count_cliques(g, r) for g in free]
+        best = max(counts, default=-1)
+        winners = [g for g, c in zip(free, counts) if c == best]
+    # at a best of 0 the report names the edgeless graph instead
+    wit = {canonical_form(g) for g in winners} if best > 0 else set()
     return _finish_witnesses(n, r, family, best, wit, examined, engine, completed)
 
 

@@ -20,7 +20,7 @@ from booklab.constructions import (
     partition_construction,
     turan_clique_count,
 )
-from booklab.graphs import complete_graph, count_cliques, join, turan_graph
+from booklab.graphs import complete_graph, count_cliques, empty_graph, join, turan_graph
 from booklab.partitions import Partition, beta
 from booklab.patterns import BookSpec, ForbiddenFamily, is_free, parse_family
 from booklab.search import (
@@ -66,6 +66,20 @@ def test_criterion_1_optional_n9():
     _report("1 (n=9)", ok, f"maximum {got} vs 8, {elapsed:.1f}s (< 600s)")
 
 
+@pytest.mark.slow
+def test_pure_book_b41_at_n9_is_the_clique_join():
+    # ex(9, K4, B(4,1)) = 21 = 4n - 15, attained only by K4 joined to five
+    # independent vertices; it beats floor((n-2)^2/4) = 12
+    clear_generation_cache()
+    t0 = time.perf_counter()
+    rep = exact_ex(9, 4, parse_family("B(4,1)"))
+    elapsed = time.perf_counter() - t0
+    clear_generation_cache()
+    witness = canonical_form(join(complete_graph(4), empty_graph(5)))
+    assert rep.exhaustive and rep.maximum == 21 and rep.witnesses == (witness,)
+    assert elapsed < 30.0, f"{elapsed:.1f}s (< 30s)"
+
+
 def test_criterion_2_quarter_square_series():
     clear_generation_cache()
     t0 = time.perf_counter()
@@ -80,8 +94,9 @@ def test_criterion_2_quarter_square_series():
             expected = canonical_form(join(complete_graph(2), turan_graph(n - 2, 2)))
             witness_ok &= rep.witnesses == (expected,)
     elapsed = time.perf_counter() - t0
-    # the n = 8 level and the candidates its parents offer, pinned
-    classes = len(search._GEN_CACHE[LEMMA_FAMILY][8])
+    # the n = 8 level and the candidates its parents offer, pinned; exact_ex
+    # never builds its last level, so level 8 is generated here
+    classes = len(search._generation_levels(LEMMA_FAMILY, 8, None, 1)[0][8])
     counts_ok = classes == 10_939 and rep.examined == 135_419
     ok = values_ok and witness_ok and counts_ok and elapsed < 300.0
     _report(
@@ -93,8 +108,6 @@ def test_criterion_2_quarter_square_series():
 
 
 def test_criterion_3_clique_maximizer_cross_check():
-    from booklab.graphs import empty_graph
-
     checked = 0
     ok = True
     for t in range(2, 5):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import os
 import random
@@ -120,18 +121,71 @@ def test_deadline_gives_partial_report():
     clear_generation_cache()
 
 
+def _examined_below(levels, k):
+    """Candidates offered by the parents on fewer than k vertices."""
+    return sum(len(level) << j for j, level in enumerate(levels[:k]))
+
+
 def test_deadline_keeps_the_partial_level(monkeypatch):
-    # a fake clock that ticks once per parent cuts level 7 after 50 of its
-    # 98 parents, each of which offers 2^6 neighbourhoods
+    # n = 8 generates levels up to 7; with levels 0..6 cached, a fake clock
+    # that ticks once per parent cuts level 7 after 50 of its 98 parents, each
+    # of which offers 2^6 neighbourhoods, and the partial level 7 is padded
+    # with one isolated vertex
     clear_generation_cache()
-    warm = exact_ex(6, 3, BOWTIE_FREE)
+    levels, _, _ = search._generation_levels(BOWTIE_FREE, 6, None, 1)
+    ticks = iter(range(10**6))
+    monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+    rep = exact_ex(8, 3, BOWTIE_FREE, max_seconds=50)
+    monkeypatch.undo()
+    assert not rep.exhaustive
+    assert rep.examined == _examined_below(levels, 6) + 50 * 2 ** 6
+    assert len(search._GEN_CACHE[BOWTIE_FREE]) == 7  # levels 0..6; 7 was cut
+    assert 0 < rep.maximum
+    for cf in rep.witnesses:
+        g = cf.to_graph()
+        assert g.n == 8 and min(map(g.degree, range(8))) == 0
+        assert is_free(g, BOWTIE_FREE) and count_cliques(g, 3) == rep.maximum
+    full = exact_ex(8, 3, BOWTIE_FREE)
+    assert full.exhaustive and (full.maximum, full.examined) == (8, 58_587)
+    assert rep.maximum <= full.maximum
+    clear_generation_cache()
+
+
+def test_deadline_below_level_n_pads_the_deepest_level(monkeypatch):
+    # with levels 0..4 cached the fake clock builds level 5 (11 ticks) and
+    # cuts level 6 after 10 of its 28 parents, so n = 8 pads the partial
+    # level 6 with two isolated vertices
+    clear_generation_cache()
+    levels, _, _ = search._generation_levels(BOWTIE_FREE, 4, None, 1)
+    ticks = iter(range(10**6))
+    monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+    rep = exact_ex(8, 3, BOWTIE_FREE, max_seconds=21)
+    monkeypatch.undo()
+    assert not rep.exhaustive
+    assert rep.examined == _examined_below(levels, 4) + 11 * 2 ** 4 + 10 * 2 ** 5
+    assert len(search._GEN_CACHE[BOWTIE_FREE]) == 6  # levels 0..5; 6 was cut
+    assert rep.maximum > 0 and rep.witnesses
+    for cf in rep.witnesses:
+        g = cf.to_graph()
+        assert g.n == 8 and sum(g.degree(v) == 0 for v in range(8)) >= 2
+        assert is_free(g, BOWTIE_FREE) and count_cliques(g, 3) == rep.maximum
+    assert rep.maximum <= exact_ex(8, 3, BOWTIE_FREE).maximum
+    clear_generation_cache()
+
+
+def test_deadline_inside_the_bound_pass_keeps_the_best_child(monkeypatch):
+    # with levels 0..6 cached, n = 7 builds no level; the fake clock cuts the
+    # bound pass over the 98 parents on 6 vertices after 50 of them (the full
+    # pass visits 82), and the report keeps the best free child found so far
+    clear_generation_cache()
+    levels, _, _ = search._generation_levels(BOWTIE_FREE, 6, None, 1)
     ticks = iter(range(10**6))
     monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
     rep = exact_ex(7, 3, BOWTIE_FREE, max_seconds=50)
     monkeypatch.undo()
     assert not rep.exhaustive
-    assert rep.examined == warm.examined + 50 * 2 ** 6
-    assert 0 < rep.maximum
+    assert rep.examined == _examined_below(levels, 6) + 50 * 2 ** 6
+    assert rep.maximum > 0 and rep.witnesses
     for cf in rep.witnesses:
         g = cf.to_graph()
         assert g.n == 7 and is_free(g, BOWTIE_FREE) and count_cliques(g, 3) == rep.maximum
@@ -141,33 +195,12 @@ def test_deadline_keeps_the_partial_level(monkeypatch):
     clear_generation_cache()
 
 
-def test_deadline_below_level_n_pads_the_deepest_level(monkeypatch):
-    # the fake clock cuts level 7 after 22 of its 98 parents (28 ticks build
-    # level 6), so n = 8 pads the partial level with one isolated vertex
-    clear_generation_cache()
-    warm = exact_ex(5, 3, BOWTIE_FREE)
-    ticks = iter(range(10**6))
-    monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
-    rep = exact_ex(8, 3, BOWTIE_FREE, max_seconds=50)
-    monkeypatch.undo()
-    assert not rep.exhaustive
-    assert rep.examined == warm.examined + 28 * 2 ** 5 + 22 * 2 ** 6
-    assert len(search._GEN_CACHE[BOWTIE_FREE]) == 7  # levels 0..6; 7 was cut
-    assert rep.maximum > 0 and rep.witnesses
-    for cf in rep.witnesses:
-        g = cf.to_graph()
-        assert g.n == 8 and min(map(g.degree, range(8))) == 0
-        assert is_free(g, BOWTIE_FREE) and count_cliques(g, 3) == rep.maximum
-    assert rep.maximum <= exact_ex(8, 3, BOWTIE_FREE).maximum
-    clear_generation_cache()
-
-
 def test_deadline_below_level_n_keeps_the_edgeless_rule_when_padding_is_not_free(monkeypatch):
     # forbidding three independent vertices rejects every graph on 2 vertices
     # padded to 4, and the edgeless graph on 4 too, so no witness is left
     family = ForbiddenFamily((), (empty_graph(3),))
     clear_generation_cache()
-    exact_ex(2, 2, family)
+    search._generation_levels(family, 2, None, 1)
     ticks = iter(range(10**6))
     monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
     rep = exact_ex(4, 2, family, max_seconds=0)
@@ -204,7 +237,8 @@ def test_generation_levels_are_sorted_canonical_forms(spec):
     family = parse_family(spec)
     clear_generation_cache()
     rep = exact_ex(7, 3, family)
-    levels = search._GEN_CACHE[family]
+    assert len(search._GEN_CACHE[family]) == 7  # levels 0..6: level 7 is never built
+    levels, _, _ = search._generation_levels(family, 7, None, 1)
     assert [len(level) for level in levels] == counts
     for k, level in enumerate(levels):
         assert all(type(cf) is CanonicalForm and cf.n == k for cf in level)
@@ -225,6 +259,7 @@ def test_generation_examines_every_candidate_at_n8():
     clear_generation_cache()
 
 
+@functools.lru_cache(maxsize=None)
 def all_subsets_levels(family, n):
     """Levels 0..n built the way generation worked before orbit reduction:
     every parent on k vertices extended by all 2^k neighbourhoods, each
@@ -265,6 +300,34 @@ def test_orbit_extension_matches_all_subsets(name):
         levels, examined, completed = search._generation_levels(family, 7, None, jobs)
         assert completed and levels == oracle
         assert examined == sum(len(level) << k for k, level in enumerate(oracle[:7]))
+    clear_generation_cache()
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_FAMILIES))
+def test_bound_pass_matches_the_full_last_level(name):
+    # exact_ex never builds level n; its answers must be those of the full
+    # level n, with the levels below n built serially and in two shards
+    family = DIFFERENTIAL_FAMILIES[name]
+    oracle = all_subsets_levels(family, 7)
+    for jobs in (1, 2):
+        clear_generation_cache()
+        for n in range(8):
+            for r in range(1, 6):
+                rep = exact_ex(n, r, family, jobs=jobs)
+                if n < r:
+                    examined, counts = 0, {}
+                else:
+                    examined = sum(len(level) << k for k, level in enumerate(oracle[:n]))
+                    counts = {cf: count_cliques(cf.to_graph(), r) for cf in oracle[n]}
+                best = max(counts.values(), default=0)
+                if best > 0:
+                    witnesses = tuple(cf for cf in oracle[n] if counts[cf] == best)
+                else:
+                    edgeless = empty_graph(n)
+                    witnesses = (canonical_form(edgeless),) if is_free(edgeless, family) else ()
+                assert (rep.maximum, rep.witnesses, rep.examined, rep.exhaustive) == (
+                    best, witnesses, examined, True
+                ), (n, r, jobs)
     clear_generation_cache()
 
 
@@ -468,6 +531,27 @@ def test_symmetrize_random_starts(seed):
     assert count_cliques(final, 4) == rep.maximum
     assert rep.maximum >= count_cliques(g, 4)
     assert all(b > a for a, b in zip(rep.history, rep.history[1:]))
+
+
+@pytest.mark.parametrize("spec, r", [("B(4,1),H1,K(5)", 4), ("B(3,1)", 3)])
+def test_every_clone_move_of_a_climb_changes_the_count_by_k_v_minus_k_u(monkeypatch, spec, r):
+    # the climb's move accounting rests on this identity; checking it on
+    # every call covers both halves of a paired move
+    family = parse_family(spec)
+    calls = []
+
+    def checked(g, u, v):
+        out = clone_move(g, u, v)
+        gain = _vertex_clique_count(g, r, v) - _vertex_clique_count(g, r, u)
+        assert count_cliques(out, r) - count_cliques(g, r) == gain
+        calls.append((u, v))
+        return out
+
+    monkeypatch.setattr(search, "clone_move", checked)
+    for n in range(10, 17):
+        for seed in range(6):
+            symmetrize(random_free_graph(n, family, random.Random(seed)), r, family, seed=seed)
+    assert calls
 
 
 def test_random_free_graph_is_free():
