@@ -11,6 +11,7 @@ same tree up to relabeling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .graphs import Graph, _bits, from_mask
 
@@ -82,24 +83,32 @@ def _canonical_search(g: Graph) -> tuple[CanonicalForm, tuple[tuple[int, ...], .
     """Canonical form of g and generators of Aut(g), each a tuple sending
     vertex v to sigma[v].
 
-    The generators are recorded the nauty way.  A leaf whose key equals the
-    first leaf's, or the best so far, gives the automorphism between the two
-    leaf orders, and a pruned twin gives its transposition.  An image of the
-    first leaf under any automorphism reaches a visited leaf through those
-    transpositions, so the generators generate the whole group.  Twins form
-    global classes, and the first scan of a class sees all of it, so each
-    class contributes a star of transpositions.
+    The generators are recorded the nauty way.  A pruned twin gives its
+    transposition, and a leaf whose key equals the first leaf's, or the best
+    so far, gives the automorphism gamma between the two leaf orders; the
+    search then jumps back to the node where the two leaves' paths part.  An
+    individualized vertex keeps its cell's first position in every leaf
+    below, so gamma fixes that node and maps its finished child toward the
+    matched leaf onto the current child: the leaves skipped repeat keys
+    already bounded, and the minimum key does not change.  By the same
+    induction every leaf of the full tree is the image of a visited leaf
+    under the group found.  So is the first leaf's image under any
+    automorphism, which then lies in that group, as every visited leaf with
+    the first key is the image of the first leaf under a generator.  Twins
+    form global classes, and the first scan of a class sees all of it, so
+    each class contributes a star of transpositions.
     """
     n = g.n
     nbits = n * (n - 1) // 2
     if n <= 1:
         return CanonicalForm(n, b""), ()
     adj = g.adj
-    first = best = (0, [])
+    first = best = (0, [], ())
     gens: dict[tuple[int, ...], None] = {}
     twins: dict[int, int] = {}
 
-    def descend(cells: list[int]) -> None:
+    def descend(cells: list[int], path: tuple[int, ...]) -> int:
+        """Search below the node `path` reached; return the depth to jump back to, or n."""
         nonlocal first, best
         for idx, c in enumerate(cells):
             if c.bit_count() > 1:
@@ -108,20 +117,22 @@ def _canonical_search(g: Graph) -> tuple[CanonicalForm, tuple[tuple[int, ...], .
             perm = [c.bit_length() - 1 for c in cells]
             key = _encode(adj, perm, n)
             if not first[1]:
-                first = best = (key, perm)
+                first = best = (key, perm, path)
             elif key == first[0] or key == best[0]:
-                sigma = [0] * n
-                for u, v in zip(first[1] if key == first[0] else best[1], perm):
-                    sigma[u] = v
-                gens[tuple(sigma)] = None
+                _, leaf, leaf_path = first if key == first[0] else best
+                gens[tuple(v for _, v in sorted(zip(leaf, perm)))] = None  # leaf[j] -> perm[j]
+                return next(d for d, (a, b) in enumerate(zip(leaf_path, path)) if a != b)
             elif key < best[0]:
-                best = (key, perm)
-            return
+                best = (key, perm, path)
+            return n
         for v in _twin_representatives(adj, c, twins):
             vb = 1 << v
-            descend(_refine(adj, cells[:idx] + [vb, c ^ vb] + cells[idx + 1 :]))
+            back = descend(_refine(adj, cells[:idx] + [vb, c ^ vb] + cells[idx + 1 :]), path + (v,))
+            if back < len(path):
+                return back
+        return n
 
-    descend(_refine(adj, [(1 << n) - 1]))
+    descend(_refine(adj, [(1 << n) - 1]), ())
     for v, u in twins.items():
         sigma = list(range(n))
         sigma[u], sigma[v] = v, u
@@ -133,3 +144,56 @@ def _canonical_search(g: Graph) -> tuple[CanonicalForm, tuple[tuple[int, ...], .
 
 def canonical_form(g: Graph) -> CanonicalForm:
     return _canonical_search(g)[0]
+
+
+def _orbit_reps(size: int, tables: list) -> list[int]:
+    """The smallest point of each orbit on range(size), ascending, of the
+    group generated by the image tables, each sending x to table[x]."""
+    seen = bytearray(size)
+    reps = []
+    for m in range(size):
+        if seen[m]:
+            continue
+        reps.append(m)
+        seen[m] = 1
+        orbit = [m]
+        for x in orbit:  # the orbit grows while it is scanned
+            for img in tables:
+                y = img[x]
+                if not seen[y]:
+                    seen[y] = 1
+                    orbit.append(y)
+    return reps
+
+
+def subset_orbit_reps(g: Graph) -> list[int]:
+    """The smallest mask of each orbit of Aut(g) on subsets of its vertices.
+    Each generator's image table is built by doubling, img[m | 1 << i] =
+    img[m] | 1 << sigma[i] for m < 2^i, so no mask loops over its bits."""
+    tables = []
+    for sigma in _canonical_search(g)[1]:
+        img = [0]
+        for i in range(g.n):
+            b = 1 << sigma[i]
+            img += [m | b for m in img]
+        tables.append(img)
+    return _orbit_reps(1 << g.n, tables)
+
+
+@lru_cache(maxsize=256)
+def vertex_orbit_reps(h: Graph) -> tuple[int, ...]:
+    """One vertex per orbit of Aut(h), the smallest of each."""
+    return tuple(_orbit_reps(h.n, _canonical_search(h)[1]))
+
+
+@lru_cache(maxsize=256)
+def nonedge_orbit_reps(h: Graph) -> tuple[tuple[int, int], ...]:
+    """One non-adjacent pair (u, v), u < v, per orbit of Aut(h) on non-edges,
+    the lexicographically smallest of each."""
+    pairs = [(u, v) for u in range(h.n) for v in range(u + 1, h.n) if not h.has_edge(u, v)]
+    index = {uv: i for i, uv in enumerate(pairs)}
+    tables = [
+        [index[min(s[u], s[v]), max(s[u], s[v])] for u, v in pairs]
+        for s in _canonical_search(h)[1]
+    ]
+    return tuple(pairs[i] for i in _orbit_reps(len(pairs), tables))

@@ -41,7 +41,7 @@ from .search import SearchReport, exact_ex, symmetrize
 SCHEMA = "booklab/1"
 
 #: largest n of tables 1.1 and 2.1, whose rows are exhaustive searches with no deadline
-TABLE_SEARCH_N_MAX = 8
+TABLE_SEARCH_N_MAX = 9
 
 
 def _read_graph(spec: str) -> Graph:
@@ -160,7 +160,7 @@ def _cmd_construct(args) -> int:
         out.write_text(text if text.endswith("\n") else text + "\n")
         out.with_suffix(out.suffix + ".json").write_text(json.dumps(sidecar) + "\n")
     else:
-        print(text if not text.endswith("\n") else text, end="" if text.endswith("\n") else "\n")
+        print(text, end="" if text.endswith("\n") else "\n")
         _emit(sidecar)
     return 0
 

@@ -13,6 +13,7 @@ from functools import lru_cache
 from itertools import islice
 from typing import Iterator
 
+from . import canonical  # a cycle: canonical imports this module, and booklab loads it first
 from .errors import ResourceLimitError
 
 #: Soft guard against absurd inputs.  Constructions in this package live in
@@ -394,43 +395,13 @@ def contains_subgraph(g: Graph, h: Graph) -> bool:
     return find_subgraph(g, h) is not None
 
 
-@lru_cache(maxsize=256)
-def vertex_orbit_reps(h: Graph) -> tuple[int, ...]:
-    """One vertex per orbit of Aut(h), the smallest of each.
-
-    A self-embedding of a finite graph is an automorphism, so q lies in the
-    orbit of p exactly when h embeds in itself with p pinned onto q.
-    """
-    reps: list[int] = []
-    for q in range(h.n):
-        if all(_embed(h, h, ((p, q),)) is None for p in reps):
-            reps.append(q)
-    return tuple(reps)
-
-
-@lru_cache(maxsize=256)
-def nonedge_orbit_reps(h: Graph) -> tuple[tuple[int, int], ...]:
-    """One non-adjacent pair (u, v), u < v, per orbit of Aut(h) on non-edges,
-    the lexicographically smallest of each."""
-    reps: list[tuple[int, int]] = []
-    for u in range(h.n):
-        for v in _bits(((1 << h.n) - 1) & ~h.adj[u] & ~((2 << u) - 1)):
-            if all(
-                _embed(h, h, ((a, u), (b, v))) is None
-                and _embed(h, h, ((a, v), (b, u))) is None
-                for a, b in reps
-            ):
-                reps.append((u, v))
-    return tuple(reps)
-
-
 def contains_subgraph_at(g: Graph, h: Graph, host_vertex: int) -> bool:
     """Does some embedding of h cover the given host vertex?
 
     An embedding through the host vertex composed with an automorphism of h
     is another one, so one pinned vertex per orbit suffices.
     """
-    for p in vertex_orbit_reps(h):
+    for p in canonical.vertex_orbit_reps(h):
         if find_subgraph(g, h, pin=(p, host_vertex)) is not None:
             return True
     return False

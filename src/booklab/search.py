@@ -29,7 +29,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .canonical import CanonicalForm, _canonical_search, canonical_form
+from .canonical import CanonicalForm, canonical_form, nonedge_orbit_reps, subset_orbit_reps
 from .errors import ResourceLimitError
 from .graphs import (
     Graph,
@@ -44,7 +44,6 @@ from .graphs import (
     from_edges,
     from_mask,
     has_clique,
-    nonedge_orbit_reps,
 )
 from .graphs import find_subgraph as find_subgraph  # explicit re-export, kept importable
 from .patterns import ForbiddenFamily, first_violation, is_free
@@ -209,38 +208,6 @@ def _child_is_free(
     return not any(contains_subgraph_at(child, p, k) for p in family.noncomplete)
 
 
-def _neighbourhood_reps(k: int, gens: tuple[tuple[int, ...], ...]) -> list[int]:
-    """The smallest mask of each orbit, on subsets of range(k), of the group
-    that the permutations gens generate.
-
-    Each generator's image table is built by doubling, img[m | 1 << i] =
-    img[m] | 1 << sigma[i] for m < 2^i, so no mask loops over its bits.
-    """
-    tables = []
-    for sigma in gens:
-        img = [0]
-        for i in range(k):
-            b = 1 << sigma[i]
-            img += [m | b for m in img]
-        tables.append(img)
-    seen = bytearray(1 << k)
-    reps = []
-    for m in range(1 << k):
-        if seen[m]:
-            continue
-        reps.append(m)
-        seen[m] = 1
-        stack = [m]
-        while stack:
-            x = stack.pop()
-            for img in tables:
-                y = img[x]
-                if not seen[y]:
-                    seen[y] = 1
-                    stack.append(y)
-    return reps
-
-
 def _canonical_shard(args):
     """Canonical forms of the free children of each parent, and how many
     parents were extended before the deadline.
@@ -256,11 +223,8 @@ def _canonical_shard(args):
     for parent in parents:
         if deadline is not None and time.monotonic() > deadline:
             break
-        k = parent.n
-        parent_cliques = {
-            rr: clique_mask_list(parent, rr) for rr in {b.r for b in family.books}
-        }
-        for smask in _neighbourhood_reps(k, _canonical_search(parent)[1]):
+        parent_cliques = {rr: clique_mask_list(parent, rr) for rr in {b.r for b in family.books}}
+        for smask in subset_orbit_reps(parent):
             child = _child_graph(parent, smask)
             if _child_is_free(parent, parent_cliques, child, smask, family):
                 found.add(canonical_form(child))
@@ -337,7 +301,7 @@ def _last_level_maxima(parents: list[CanonicalForm], r: int, family: ForbiddenFa
         if deadline is not None and time.monotonic() > deadline:
             return best, winners, visited, False
         visited += 1
-        reps = _neighbourhood_reps(p.n, _canonical_search(p)[1])
+        reps = subset_orbit_reps(p)
         candidates = sorted(
             ((base + sum(c & s == c for c in lower), s) for s in reps), reverse=True
         )

@@ -161,10 +161,25 @@ def test_refine_matches_the_two_pass_oracle_on_symmetric_graphs():
 
 
 # canonical key hex of highly symmetric graphs, recorded before the
-# refinement became one pass
+# refinement became one pass; Kneser(8,2)'s and the two g6 ones before the
+# search jumped back after each automorphism.  The g6 ones are disjoint
+# unions of two circulants, found by a seeded scan, whose keys change with
+# the labeling when the search jumps back one level above the node where
+# the two leaves' paths part.
 SYMMETRIC_KEY_PINS = {
+    "g6:NQGSQG??G?_@?@??_CG": (
+        lambda: graph6_decode("NQGSQG??G?_@?@??_CG"), "0000001050a060600c0300180000"
+    ),
+    "g6:P?`@?aGP@CAG??????O?E??W": (
+        lambda: graph6_decode("P?`@?aGP@CAG??????O?E??W"), "00000850c10082400805000800c0008001"
+    ),
     "Kneser(7,2)": (
         lambda: kneser(7, 2), "00007ae6c743c139eb5ad697386733d6aadacc73993d6a93ce6400"
+    ),
+    "Kneser(8,2)": (
+        lambda: kneser(8, 2),
+        "000001f5e6e3b0f41f0279f5d75b6cbae8bcf0679cfaeb5b6dad375ce1cf399f5d6a"
+        "aedb598f3ce64faeb549f3ce6400",
     ),
     "Paley(13)": (lambda: paley(13), "055ae539db865ba53914"),
     "Paley(17)": (lambda: paley(17), "04d49b574a3c773a6d93475ca37451da0d"),
@@ -247,6 +262,7 @@ def test_generators_from_leaves_equal_to_the_best_one(g6):
     [
         ("Petersen", lambda: kneser(5, 2), 120),
         ("Kneser(6,2)", lambda: kneser(6, 2), 720),
+        ("Kneser(7,2)", lambda: kneser(7, 2), 5040),
         ("Paley(13)", lambda: paley(13), 78),
         ("K(3,3,3)", lambda: turan_graph(9, 3), 6 ** 4),
         ("C5 + 3K1", lambda: disjoint_union(cycle_graph(5), empty_graph(3)), 60),
@@ -257,3 +273,23 @@ def test_generated_group_orders(name, build, order):
     gens = _canonical_search(g)[1]
     assert all(is_automorphism(g, sigma) for sigma in gens)
     assert len(generated_group(g.n, gens)) == order
+
+
+@pytest.mark.parametrize(
+    "name, build",
+    [
+        ("Petersen", lambda: kneser(5, 2)),
+        ("Kneser(6,2)", lambda: kneser(6, 2)),
+        ("Kneser(7,2)", lambda: kneser(7, 2)),
+        ("Kneser(8,2)", lambda: kneser(8, 2)),
+        ("Paley(13)", lambda: paley(13)),
+        ("Paley(17)", lambda: paley(17)),
+    ],
+)
+def test_jump_back_keeps_the_generators_few(name, build):
+    # one generator per leaf equal to the first would give |Aut| - 1 of them
+    # (40,319 for Kneser(8,2)); jumping back after each leaves at most 2n
+    g = build()
+    gens = _canonical_search(g)[1]
+    assert all(is_automorphism(g, sigma) for sigma in gens)
+    assert len(gens) <= 2 * g.n

@@ -231,12 +231,23 @@ def test_table_csv(capsys):
 @pytest.mark.parametrize("theorem", ["1.1", "2.1"])
 def test_search_tables_refuse_orders_past_their_bound(capsys, theorem):
     t0 = time.perf_counter()
-    code = main(["table", "--theorem", theorem, "--n-max", "9"])
+    code = main(["table", "--theorem", theorem, "--n-max", "10"])
     captured = capsys.readouterr()
     assert code == 3
     assert time.perf_counter() - t0 < 1.0
     assert captured.out == ""
     assert "booklab exact --max-seconds" in captured.err
+
+
+def test_table_11_answers_at_its_bound(capsys):
+    rows = run_table(capsys, "table", "--theorem", "1.1", "--n-min", "9", "--n-max", "9")
+    assert [(r["n"], r["formula"], r["computed"], r["match"]) for r in rows] == [(9, 8, 8, True)]
+
+
+@pytest.mark.slow
+def test_table_21_answers_at_its_bound(capsys):
+    rows = run_table(capsys, "table", "--theorem", "2.1", "--n-min", "9", "--n-max", "9")
+    assert [(r["n"], r["formula"], r["computed"], r["match"]) for r in rows] == [(9, 12, 12, True)]
 
 
 def test_table_17_lower(capsys):

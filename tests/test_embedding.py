@@ -1,5 +1,6 @@
 """The embedding kernel's pins and the automorphism-orbit helpers, against
-permutation brute force."""
+permutation brute force and the self-embedding loops the orbits once came
+from."""
 
 import hashlib
 import itertools
@@ -12,20 +13,21 @@ import pytest
 from hypothesis import given, settings
 
 import booklab
+from booklab.canonical import nonedge_orbit_reps, vertex_orbit_reps
 from booklab.graphs import (
+    _bits,
     _embed,
     complete_graph,
     contains_subgraph_at,
     cycle_graph,
     find_subgraph,
     from_edges,
-    nonedge_orbit_reps,
     path_graph,
-    vertex_orbit_reps,
+    turan_graph,
 )
-from booklab.patterns import h1_graph, h2_graph
+from booklab.patterns import BookSpec, book_graph, h1_graph, h2_graph
 
-from conftest import graphs
+from conftest import graphs, kneser, paley
 
 
 def brute_embeddings(g, h):
@@ -82,6 +84,55 @@ def test_orbit_reps_of_the_fixed_patterns():
     assert nonedge_orbit_reps(k2_plus_k1) == ((0, 2),)
 
 
+def self_embedding_vertex_reps(h):
+    """The orbit loop the generators replaced: a self-embedding of a finite
+    graph is an automorphism, so q lies in the orbit of p exactly when h
+    embeds in itself with p pinned onto q."""
+    reps = []
+    for q in range(h.n):
+        if all(_embed(h, h, ((p, q),)) is None for p in reps):
+            reps.append(q)
+    return tuple(reps)
+
+
+def self_embedding_nonedge_reps(h):
+    reps = []
+    for u in range(h.n):
+        for v in _bits(((1 << h.n) - 1) & ~h.adj[u] & ~((2 << u) - 1)):
+            if all(
+                _embed(h, h, ((a, u), (b, v))) is None
+                and _embed(h, h, ((a, v), (b, u))) is None
+                for a, b in reps
+            ):
+                reps.append((u, v))
+    return tuple(reps)
+
+
+ORBIT_ORACLE_GRAPHS = {
+    "H1": h1_graph(),
+    "H2": h2_graph(),
+    **{
+        f"B({r},{s})": book_graph(BookSpec(r, s))
+        for r in range(2, 6)
+        for s in range(r)
+    },
+    **{f"C{n}": cycle_graph(n) for n in range(4, 13)},
+    "P4": path_graph(4),
+    "K1,3": from_edges(4, [(0, 1), (0, 2), (0, 3)]),
+    "Petersen": kneser(5, 2),
+    "Paley(13)": paley(13),
+    "Kneser(6,2)": kneser(6, 2),
+    "K(3,3,3)": turan_graph(9, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_ORACLE_GRAPHS))
+def test_orbit_reps_match_the_self_embedding_loops(name):
+    h = ORBIT_ORACLE_GRAPHS[name]
+    assert vertex_orbit_reps(h) == self_embedding_vertex_reps(h)
+    assert nonedge_orbit_reps(h) == self_embedding_nonedge_reps(h)
+
+
 def _is_embedding(g, h, img):
     return len(set(img)) == h.n and all(g.has_edge(img[a], img[b]) for a, b in h.edges())
 
@@ -117,10 +168,10 @@ def test_nothing_is_planned_at_import():
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(booklab.__file__)))
     code = (
         "import booklab, booklab.cli\n"
-        "from booklab import graphs\n"
+        "from booklab import canonical, graphs\n"
         "print(graphs._plan.cache_info().currsize,"
-        " graphs.vertex_orbit_reps.cache_info().currsize,"
-        " graphs.nonedge_orbit_reps.cache_info().currsize)"
+        " canonical.vertex_orbit_reps.cache_info().currsize,"
+        " canonical.nonedge_orbit_reps.cache_info().currsize)"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True

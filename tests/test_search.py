@@ -252,6 +252,37 @@ def test_generation_levels_are_sorted_canonical_forms(spec):
     clear_generation_cache()
 
 
+# independent oracles: with no constraint generation counts all graphs (OEIS
+# A000088), with K(3) the triangle-free graphs (OEIS A006785); the K(4)
+# counts are this repo's own
+KNOWN_LEVEL_COUNTS = {
+    "all graphs": ("", [1, 1, 2, 4, 11, 34, 156, 1044]),
+    "K(3)-free": ("K(3)", [1, 1, 2, 3, 7, 14, 38, 107, 410, 1897]),
+    "K(4)-free": ("K(4)", [1, 1, 2, 4, 10, 29, 120, 685]),
+}
+
+
+def _level_counts(spec, n):
+    clear_generation_cache()
+    levels, _, completed = search._generation_levels(parse_family(spec), n, None, 1)
+    clear_generation_cache()
+    assert completed
+    return [len(level) for level in levels]
+
+
+@pytest.mark.parametrize("name", sorted(KNOWN_LEVEL_COUNTS))
+def test_level_counts_are_the_counts_of_graphs(name):
+    spec, counts = KNOWN_LEVEL_COUNTS[name]
+    assert _level_counts(spec, len(counts) - 1) == counts
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name, count", [("all graphs", 12_346), ("K(4)-free", 6_431)])
+def test_level_8_counts_are_the_counts_of_graphs(name, count):
+    spec, counts = KNOWN_LEVEL_COUNTS[name]
+    assert _level_counts(spec, 8) == counts + [count]
+
+
 def test_generation_examines_every_candidate_at_n8():
     clear_generation_cache()
     rep = exact_ex(8, 3, BOWTIE_FREE)
