@@ -90,36 +90,82 @@ def book_graph(spec: BookSpec) -> Graph:
     return from_edges(n, edges)
 
 
+class BookScan:
+    """The r-cliques of a graph, scanned row by row for a pair sharing
+    exactly s vertices, with the cliques of deleted edges dropped in place.
+
+    `masks` lists the cliques lexicographically; a dropped clique keeps its
+    row as 0, so every other clique keeps its index.  cols[v] is the bitset
+    of live cliques holding v, clique i at bit top - i: the cliques after
+    row i are the low bits.  Raises ResourceLimitError past
+    `graphs.CLIQUE_BUDGET`.
+    """
+
+    def __init__(self, g: Graph, spec: BookSpec):
+        self.masks = masks = clique_mask_list(g, spec.r)
+        self.s = spec.s
+        self.top = len(masks) - 1
+        self.live = (1 << len(masks)) - 1
+        self.cols = cols = [0] * g.n
+        for k, c in enumerate(reversed(masks)):
+            bit = 1 << k
+            while c:
+                low = c & -c
+                cols[low.bit_length() - 1] |= bit
+                c ^= low
+
+    def first(self, start: int = 0) -> tuple[int, int] | None:
+        """The first pair (i, j) with i >= start: the least i, then the least j."""
+        cols, top, s = self.cols, self.top, self.s
+        steps = range(s + 1, 0, -1)
+        rest = [0] * (s + 1)
+        for i, ci in enumerate(self.masks[start:], start):
+            if not ci:
+                continue
+            # at[t]: the cliques after row i sharing at least t vertices with
+            # it; only at[0] holds dropped ones, as no column does
+            at = [(1 << (top - i)) - 1] + rest
+            while ci:
+                low = ci & -ci
+                col = cols[low.bit_length() - 1]
+                ci ^= low
+                for t in steps:
+                    at[t] |= at[t - 1] & col
+            exact = at[s] & ~at[s + 1]
+            if exact:
+                exact &= self.live
+                if exact:
+                    return i, top + 1 - exact.bit_length()
+        return None
+
+    def drop_edge(self, u: int, v: int) -> None:
+        """Drop the cliques holding both u and v, as deleting edge uv does."""
+        masks, cols, top = self.masks, self.cols, self.top
+        dead = cols[u] & cols[v]
+        self.live ^= dead
+        members = 0
+        for k in _bits(dead):
+            members |= masks[top - k]
+            masks[top - k] = 0
+        for w in _bits(members):
+            cols[w] &= ~dead
+
+
 def book_violation(g: Graph, spec: BookSpec) -> CliqueWitness | None:
     """First pair of r-cliques sharing exactly s vertices, in a fixed scan order.
 
     Cliques are enumerated lexicographically and the first pair (i, j) in
-    row-major order is returned, so the witness is deterministic.  One pass
-    over j keeps, per vertex, the bitset of earlier cliques holding it;
-    at[t] collects the earlier cliques sharing at least t vertices with
-    clique j.  Raises ResourceLimitError past `graphs.CLIQUE_BUDGET`.
+    row-major order is returned (the least i, then the least j), so the
+    witness is deterministic.  This is `BookScan.first` from row 0, the one
+    book scanner; `search.random_free_graph` resumes the same scan after
+    each deleted edge.  Raises ResourceLimitError past `graphs.CLIQUE_BUDGET`.
     """
-    masks = clique_mask_list(g, spec.r)
-    s = spec.s
-    cols = [0] * g.n
-    hit = None
-    for j, cj in enumerate(masks):
-        # after a hit (i, j'), only a pair with a smaller i comes earlier
-        at = [(1 << (j if hit is None else hit[0])) - 1] + [0] * (s + 1)
-        for v in _bits(cj):
-            col = cols[v]
-            for t in range(s + 1, 0, -1):
-                at[t] |= at[t - 1] & col
-            cols[v] = col | (1 << j)
-        exact = at[s] & ~at[s + 1]
-        if exact:
-            hit = ((exact & -exact).bit_length() - 1, j)
-            if hit[0] == 0:
-                break
+    scan = BookScan(g, spec)
+    hit = scan.first()
     if hit is None:
         return None
     i, j = hit
-    return CliqueWitness(VertexSet(masks[i]), VertexSet(masks[j]), spec.s)
+    return CliqueWitness(VertexSet(scan.masks[i]), VertexSet(scan.masks[j]), spec.s)
 
 
 def first_violation(g: Graph, family: ForbiddenFamily) -> int | None:

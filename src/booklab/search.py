@@ -46,7 +46,7 @@ from .graphs import (
     has_clique,
 )
 from .graphs import find_subgraph as find_subgraph  # explicit re-export, kept importable
-from .patterns import ForbiddenFamily, first_violation, is_free
+from .patterns import BookScan, ForbiddenFamily, book_violation, is_free
 
 LABELED_DEFAULT_CAP = 7
 CANONICAL_DEFAULT_CAP = 10
@@ -562,23 +562,49 @@ def symmetrize(
 # ---------------------------------------------------------------------------
 # seeded starting points for climb experiments
 
+def _delete_inside(g: Graph, span: int, rng: random.Random) -> tuple[Graph, int, int]:
+    """Delete one edge among the vertices of span, drawn by rng.choice from
+    those edges in lexicographic order; returns the graph and the edge."""
+    members = list(_bits(span))
+    inside = [(u, v) for i, u in enumerate(members) for v in members[i + 1 :] if g.has_edge(u, v)]
+    u, v = rng.choice(inside)
+    rows = list(g.adj)
+    rows[u] &= ~(1 << v)
+    rows[v] &= ~(1 << u)
+    return Graph(g.n, tuple(rows)), u, v
+
+
 def random_free_graph(n: int, family: ForbiddenFamily, rng: random.Random, p: float = 0.5) -> Graph:
     """Random graph repaired to family-freeness by deleting edges inside
-    violating structures until none remain.  Deterministic given the rng."""
+    violating structures until none remain.  Deterministic given the rng.
+
+    Each step deletes an edge inside the first violation of
+    `patterns.first_violation`.  The repair runs that rule in stages, in its
+    order (each K(m), each book, each other pattern), every stage until it
+    is clean: deleting an edge creates no violation, so a clean stage stays
+    clean.  A book stage lists its cliques once and resumes one
+    `patterns.BookScan` at the row of its last hit after each deletion,
+    which drops exactly the cliques holding both ends of the edge.
+    """
     for pat in family.patterns:
         if pat.edge_count() == 0:
             raise ValueError("family forbids an edgeless pattern; no repair can succeed")
     g = from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
-    while True:
-        span = first_violation(g, family)
-        if span is None:
-            return g
-        members = list(_bits(span))
-        inside = [
-            (u, v) for i, u in enumerate(members) for v in members[i + 1 :] if g.has_edge(u, v)
-        ]
-        u, v = rng.choice(inside)
-        rows = list(g.adj)
-        rows[u] &= ~(1 << v)
-        rows[v] &= ~(1 << u)
-        g = Graph(n, tuple(rows))
+    for m in family.complete_sizes:
+        while (clique := next(enumerate_clique_masks(g, m), None)) is not None:
+            g = _delete_inside(g, clique, rng)[0]
+    for spec in family.books:
+        # the book check perfbench traces (book.calls); a clean book stops here
+        if book_violation(g, spec) is None:
+            continue
+        scan = BookScan(g, spec)
+        hit = scan.first()
+        while hit is not None:
+            i, j = hit
+            g, u, v = _delete_inside(g, scan.masks[i] | scan.masks[j], rng)
+            scan.drop_edge(u, v)
+            hit = scan.first(i)
+    for pat in family.noncomplete:
+        while (image := find_subgraph(g, pat)) is not None:
+            g = _delete_inside(g, sum(1 << v for v in image), rng)[0]
+    return g

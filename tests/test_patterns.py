@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 import booklab
 from booklab.errors import ResourceLimitError
 from booklab.graphs import (
+    Graph,
+    _bits,
     clique_mask_list,
     complete_graph,
     contains_subgraph,
@@ -23,6 +25,7 @@ from booklab.graphs import (
     turan_graph,
 )
 from booklab.patterns import (
+    BookScan,
     BookSpec,
     ForbiddenFamily,
     book_graph,
@@ -238,6 +241,62 @@ def test_book_scan_matches_row_major_double_loop(n, p):
             for s in range(r):
                 spec = BookSpec(r, s)
                 assert _scan_pair(g, spec) == _row_major_first_pair(g, spec)
+
+
+def _column_scan_pair(g, spec):
+    """The column scan book_violation ran before the row-major kernel: one
+    pass over j keeps, per vertex, the bitset of earlier cliques holding it,
+    and after a hit (i, j') only a pair with a smaller i can come earlier."""
+    masks = clique_mask_list(g, spec.r)
+    s = spec.s
+    cols = [0] * g.n
+    hit = None
+    for j, cj in enumerate(masks):
+        at = [(1 << (j if hit is None else hit[0])) - 1] + [0] * (s + 1)
+        for v in _bits(cj):
+            col = cols[v]
+            for t in range(s + 1, 0, -1):
+                at[t] |= at[t - 1] & col
+            cols[v] = col | (1 << j)
+        exact = at[s] & ~at[s + 1]
+        if exact:
+            hit = ((exact & -exact).bit_length() - 1, j)
+            if hit[0] == 0:
+                break
+    return None if hit is None else (masks[hit[0]], masks[hit[1]])
+
+
+_ALL_SPECS = [BookSpec(r, s) for r in range(2, 6) for s in range(r)]
+
+
+@given(graphs(max_n=9))
+@settings(max_examples=150)
+def test_book_violation_matches_the_column_scan(g):
+    for spec in _ALL_SPECS:
+        assert _scan_pair(g, spec) == _column_scan_pair(g, spec)
+
+
+@given(graphs(min_n=2, max_n=9), st.data())
+@settings(max_examples=150)
+def test_resumed_scan_equals_a_fresh_scan_after_a_deletion(g, data):
+    edges = [(u, v) for u, v in itertools.combinations(range(g.n), 2) if g.has_edge(u, v)]
+    if not edges:
+        return
+    u, v = data.draw(st.sampled_from(edges))
+    rows = list(g.adj)
+    rows[u] ^= 1 << v
+    rows[v] ^= 1 << u
+    h = Graph(g.n, tuple(rows))
+    for spec in _ALL_SPECS:
+        scan = BookScan(g, spec)
+        hit = scan.first()
+        scan.drop_edge(u, v)
+        # the live rows are the cliques of h, in order
+        assert [m for m in scan.masks if m] == clique_mask_list(h, spec.r)
+        # every row before the old hit was clean and stays clean
+        hit = scan.first(0 if hit is None else hit[0])
+        got = None if hit is None else (scan.masks[hit[0]], scan.masks[hit[1]])
+        assert got == _scan_pair(h, spec)
 
 
 def test_book_scan_without_a_hit():

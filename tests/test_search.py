@@ -13,6 +13,8 @@ from booklab.canonical import CanonicalForm, canonical_form
 from booklab.errors import ResourceLimitError
 from booklab.formats import graph6_encode
 from booklab.graphs import (
+    Graph,
+    _bits,
     clique_mask_list,
     complete_graph,
     count_cliques,
@@ -26,6 +28,7 @@ from booklab.graphs import (
 from booklab.patterns import (
     BookSpec,
     ForbiddenFamily,
+    first_violation,
     h1_graph,
     h2_graph,
     is_free,
@@ -606,6 +609,64 @@ def test_random_free_graph_repairs_complete_patterns_in_family_order():
     recorded = {(12, 0): "KMbfo]|LsDjJ", (12, 1): "KhuluCpe^Lir", (14, 2): "MCG_@Vmz`bxDxOtr_"}
     for (n, seed), g6 in recorded.items():
         assert graph6_encode(random_free_graph(n, fam, random.Random(seed), p=0.7)) == g6
+
+
+def _per_step_repair(n, family, rng, p):
+    """The repair random_free_graph ran before its stages: delete an edge,
+    drawn by rng.choice, inside the first violation until the graph is free."""
+    g = from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+    while (span := first_violation(g, family)) is not None:
+        members = list(_bits(span))
+        inside = [(u, v) for u, v in itertools.combinations(members, 2) if g.has_edge(u, v)]
+        u, v = rng.choice(inside)
+        rows = list(g.adj)
+        rows[u] &= ~(1 << v)
+        rows[v] &= ~(1 << u)
+        g = Graph(n, tuple(rows))
+    return g
+
+
+@pytest.mark.parametrize("spec", [
+    "B(2,0)", "B(2,1)", "B(3,0)", "B(3,1)", "B(4,1)", "B(4,2)",
+    "B(3,1),B(4,2)", "B(4,1),H1,K(5)", "K(5),K(4),H1",
+])
+def test_random_free_graph_matches_the_per_step_repair(spec):
+    family = parse_family(spec)
+    for n in range(5, 21):
+        for k, p in enumerate((0.3, 0.5, 0.7, 0.9)):
+            for seed in (8 * n + 2 * k, 8 * n + 2 * k + 1):
+                got = random_free_graph(n, family, random.Random(seed), p)
+                want = _per_step_repair(n, family, random.Random(seed), p)
+                assert graph6_encode(got) == graph6_encode(want), (n, p, seed)
+
+
+def test_random_free_graph_keeps_its_outputs_at_n_38():
+    # recorded with the per-step repair
+    recorded = {
+        ("B(3,1)", 1): "e??????@?_?@???G`?????????H?p?aIo??QGa?Q?A??O_@???@??SG?CU`?N?S??C@PS?Uc"
+                       "@ViGH??_C?__?CGgHGM?GOSc`?O@BAHAo?|o??I?Q``?o??",
+        ("B(3,1)", 2): "e???????AA???C?@?@?J@?C?g_??GeG?UPBI?OACC?K??IA?Ab@??@GCc@O?CWAB@h?@???G"
+                       "?LUG?C@_QCOR??IAO?Go??aP?OIAAIC_GFI@cO@@C?GEGe?",
+        ("B(4,1)", 1): "e_?@OoEC?o?B@OIkpAOOE@eOgcH@W?b?sQ?qmGaaGJA_zA@CW@D_?SGOCQ`Ct?s@_i@@OFQE"
+                       "@RiKgA_wKWIaH_Ykj_RUOCokb?rLKJg?rO|u?_JC]`hjWA?",
+        ("B(4,1)", 2): "e?C@@AG@?{@M`cD@bOB?@A_??h?_grg?]aIY_HAII?{piJ?ay`BGcCEC_`OACIMETJaPA@OA"
+                       "?nQaCcSoAoPR_`gkOCOolL_BCaFQ@OkO@f??dGdhDGGMW__",
+    }
+    for (spec, seed), g6 in recorded.items():
+        assert graph6_encode(random_free_graph(38, parse_family(spec), random.Random(seed))) == g6
+
+
+def test_random_free_graph_refuses_past_the_clique_budget(monkeypatch):
+    # the repair lists the triangles of the random start graph once; a
+    # budget one below their number refuses, as the per-step repair did
+    start = random.Random(0)
+    g = from_edges(12, [(i, j) for i in range(12) for j in range(i + 1, 12) if start.random() < 0.5])
+    triangles = count_cliques(g, 3)
+    monkeypatch.setattr("booklab.graphs.CLIQUE_BUDGET", triangles - 1)
+    with pytest.raises(ResourceLimitError):
+        random_free_graph(12, BOWTIE_FREE, random.Random(0))
+    monkeypatch.setattr("booklab.graphs.CLIQUE_BUDGET", triangles)
+    assert is_free(random_free_graph(12, BOWTIE_FREE, random.Random(0)), BOWTIE_FREE)
 
 
 def test_clique_budget_bounds_climb_and_generation(monkeypatch):
