@@ -25,16 +25,17 @@ from .constructions import (
 )
 from .errors import ResourceLimitError
 from .formats import edge_list_encode, graph6_encode, parse_graph_text
-from .graphs import Graph, _check_clique_count, count_cliques
+from .graphs import Graph, _bits, _check_clique_count, count_cliques
 from .partitions import Partition, beta, enumerate_partitions, is_s_sum_free
 from .patterns import (
     BookSpec,
     ForbiddenFamily,
     book_violation,
     family_to_text,
-    find_pattern_violation,
     is_free,
     parse_family,
+    pattern_name,
+    violation_span,
 )
 from .search import SearchReport, exact_ex, symmetrize
 
@@ -85,14 +86,13 @@ def _cmd_count(args) -> int:
     return 0
 
 
-def _cmd_free(args) -> int:
-    g = _read_graph(args.input)
-    family = parse_family(args.forbid)
-    violation = None
+def _free_violation(g: Graph, family: ForbiddenFamily) -> dict | None:
+    """What `free` reports: the first violating book in family order, else
+    the first embedded pattern (K(m) included) in family order."""
     for spec in family.books:
         w = book_violation(g, spec)
         if w is not None:
-            violation = {
+            return {
                 "kind": "book",
                 "r": spec.r,
                 "s": spec.s,
@@ -100,16 +100,15 @@ def _cmd_free(args) -> int:
                 "second": list(w.second.vertices()),
                 "overlap": w.overlap,
             }
-            break
-    if violation is None:
-        hit = find_pattern_violation(g, family)
-        if hit is not None:
-            pattern, image = hit
-            violation = {
-                "kind": "pattern",
-                "pattern": pattern,
-                "vertices": sorted(image),
-            }
+    for p in family.patterns:
+        span = violation_span(g, p)
+        if span is not None:
+            return {"kind": "pattern", "pattern": pattern_name(p), "vertices": list(_bits(span))}
+    return None
+
+
+def _cmd_free(args) -> int:
+    violation = _free_violation(_read_graph(args.input), parse_family(args.forbid))
     _emit({"schema": SCHEMA, "free": violation is None, "violation": violation})
     return 0
 

@@ -52,9 +52,14 @@ def _is_complete(p: Graph) -> bool:
     return p.edge_count() == p.n * (p.n - 1) // 2
 
 
+#: one term of a family's check order: a K(m) size, a book or another pattern
+Check = int | BookSpec | Graph
+
+
 @dataclass(frozen=True)
 class ForbiddenFamily:
-    """Books and pattern graphs; the pattern split is derived once, in family order."""
+    """Books and pattern graphs; the pattern split and the check order are
+    derived once, in family order."""
 
     books: tuple[BookSpec, ...] = ()
     patterns: tuple[Graph, ...] = ()
@@ -62,17 +67,21 @@ class ForbiddenFamily:
     complete_sizes: tuple[int, ...] = field(init=False, compare=False, repr=False)
     #: every pattern that is not a complete graph
     noncomplete: tuple[Graph, ...] = field(init=False, compare=False, repr=False)
+    #: the order a whole graph is checked in, cheap checks first: each K(m)
+    #: size, each book, each other pattern; the first with a `violation_span`
+    #: decides
+    checks: tuple[Check, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for p in self.patterns:
             if p.n < 1:
                 raise ValueError("pattern graphs must have at least one vertex")
         complete = [_is_complete(p) for p in self.patterns]
-        sizes = dict.fromkeys(p.n for p, c in zip(self.patterns, complete) if c)
-        object.__setattr__(self, "complete_sizes", tuple(sizes))
-        object.__setattr__(
-            self, "noncomplete", tuple(p for p, c in zip(self.patterns, complete) if not c)
-        )
+        sizes = tuple(dict.fromkeys(p.n for p, c in zip(self.patterns, complete) if c))
+        noncomplete = tuple(p for p, c in zip(self.patterns, complete) if not c)
+        object.__setattr__(self, "complete_sizes", sizes)
+        object.__setattr__(self, "noncomplete", noncomplete)
+        object.__setattr__(self, "checks", sizes + self.books + noncomplete)
 
 
 def book_graph(spec: BookSpec) -> Graph:
@@ -168,25 +177,29 @@ def book_violation(g: Graph, spec: BookSpec) -> CliqueWitness | None:
     return CliqueWitness(VertexSet(scan.masks[i]), VertexSet(scan.masks[j]), spec.s)
 
 
-def first_violation(g: Graph, family: ForbiddenFamily) -> int | None:
-    """Vertex mask of the first violating structure in g; None when g is free.
+def violation_span(g: Graph, check: Check) -> int | None:
+    """Vertex mask of the first violation of one check in g; None when clean.
 
-    Cheap checks come first: the first clique of the first listed K(m) that
-    g contains, then the first witness of each book in turn, then the first
-    embedding of each other pattern, all in family order.
+    A K(m) size finds the first m-clique of `enumerate_clique_masks`, a
+    book the pair `book_violation` returns, and a pattern graph the first
+    image of `find_subgraph`.
     """
-    for m in family.complete_sizes:
-        clique = next(enumerate_clique_masks(g, m), None)
-        if clique is not None:
-            return clique
-    for spec in family.books:
-        w = book_violation(g, spec)
-        if w is not None:
-            return w.first.bits | w.second.bits
-    for p in family.noncomplete:
-        image = find_subgraph(g, p)
-        if image is not None:
-            return sum(1 << v for v in image)
+    if isinstance(check, BookSpec):
+        w = book_violation(g, check)
+        return None if w is None else w.first.bits | w.second.bits
+    if isinstance(check, int):
+        return next(enumerate_clique_masks(g, check), None)
+    image = find_subgraph(g, check)
+    return None if image is None else sum(1 << v for v in image)
+
+
+def first_violation(g: Graph, family: ForbiddenFamily) -> int | None:
+    """Vertex mask of the first violating structure in g, over
+    `family.checks`; None when g is free."""
+    for check in family.checks:
+        span = violation_span(g, check)
+        if span is not None:
+            return span
     return None
 
 
@@ -221,23 +234,6 @@ def h1_graph() -> Graph:
 def h2_graph() -> Graph:
     """Six vertices, thirteen edges: K_5 plus an apex joined to three of its vertices."""
     return from_edges(6, _H2_EDGES)
-
-
-def _selfcheck_fixed_patterns() -> None:
-    h1 = h1_graph()
-    assert h1.n == 7 and h1.edge_count() == 15
-    blocks = [(0, 1, 2, 3), (1, 2, 3, 5), (1, 3, 4, 5), (2, 3, 5, 6)]
-    for b in blocks:
-        assert all(h1.has_edge(u, v) for k, u in enumerate(b) for v in b[k + 1 :])
-    non_edges = {(u, v) for u in range(7) for v in range(u + 1, 7) if not h1.has_edge(u, v)}
-    assert non_edges == {(0, 4), (0, 5), (0, 6), (1, 6), (2, 4), (4, 6)}
-    h2 = h2_graph()
-    assert h2.n == 6 and h2.edge_count() == 13
-    assert all(h2.has_edge(u, v) for u in range(5) for v in range(u + 1, 5))
-    assert h2.neighbors(5) == (2, 3, 4)
-
-
-_selfcheck_fixed_patterns()
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +289,8 @@ def parse_family(text: str) -> ForbiddenFamily:
     return ForbiddenFamily(tuple(books), tuple(patterns))
 
 
-def _pattern_name(p: Graph) -> str:
+def pattern_name(p: Graph) -> str:
+    """The family-language name of one pattern: K(m), H1, H2 or g6:<graph6>."""
     if _is_complete(p):
         return f"K({p.n})"
     if p.n == 7 and canonical_form(p) == canonical_form(h1_graph()):
@@ -308,16 +305,5 @@ def _pattern_name(p: Graph) -> str:
 def family_to_text(family: ForbiddenFamily) -> str:
     """Inverse of parse_family up to term naming; used in reports."""
     parts = [f"B({b.r},{b.s})" for b in family.books]
-    parts.extend(_pattern_name(p) for p in family.patterns)
+    parts.extend(pattern_name(p) for p in family.patterns)
     return ",".join(parts)
-
-
-def find_pattern_violation(
-    g: Graph, family: ForbiddenFamily
-) -> tuple[str, tuple[int, ...]] | None:
-    """First pattern of the family embedded in g, with its image; None if clean."""
-    for p in family.patterns:
-        image = find_subgraph(g, p)
-        if image is not None:
-            return _pattern_name(p), image
-    return None

@@ -45,8 +45,10 @@ from .graphs import (
     from_mask,
     has_clique,
 )
-from .graphs import find_subgraph as find_subgraph  # explicit re-export, kept importable
-from .patterns import BookScan, ForbiddenFamily, book_violation, is_free
+# not called here: perfbench/test_perfbench.py reads booklab.search.find_subgraph
+# to check that its tracer rebinds a name imported from graphs
+from .graphs import find_subgraph as find_subgraph
+from .patterns import BookScan, BookSpec, ForbiddenFamily, book_violation, is_free, violation_span
 
 LABELED_DEFAULT_CAP = 7
 CANONICAL_DEFAULT_CAP = 10
@@ -163,13 +165,6 @@ def brute_force_labeled(
 # ---------------------------------------------------------------------------
 # isomorph-free generation with per-level canonical dedup
 
-def _child_graph(parent: Graph, smask: int) -> Graph:
-    k = parent.n
-    rows = [row | (1 << k) if (smask >> i) & 1 else row for i, row in enumerate(parent.adj)]
-    rows.append(smask)
-    return Graph(k + 1, tuple(rows))
-
-
 def _overlap_hit(news: list[int], olds: list[int], s: int) -> bool:
     """Does a new clique share exactly s vertices with an old one or another new one?"""
     for a in news:
@@ -183,29 +178,29 @@ def _overlap_hit(news: list[int], olds: list[int], s: int) -> bool:
     return False
 
 
-def _child_is_free(
-    parent: Graph,
-    parent_cliques: dict[int, list[int]],
-    child: Graph,
-    smask: int,
-    family: ForbiddenFamily,
-) -> bool:
-    """Freeness of parent + one vertex, checking only structures through it.
+def _free_child(
+    parent: Graph, parent_cliques: dict[int, list[int]], smask: int, family: ForbiddenFamily
+) -> Graph | None:
+    """parent plus one vertex joined to smask, or None when that child is
+    not free; only structures through the new vertex are checked.
 
     The parent is free and every edge added touches the new vertex, so any
     violating book pair or pattern embedding must involve it.  A new K_m
-    through the new vertex is a K_{m-1} inside its neighborhood.
+    through the new vertex is a K_{m-1} inside its neighborhood.  The child
+    is built only for the pattern check, after the cliques and books pass.
     """
     k = parent.n
     for m in family.complete_sizes:
         if has_clique(parent, m - 1, within=smask):
-            return False
+            return None
     newbit = 1 << k
     for spec in family.books:
         news = [c | newbit for c in enumerate_clique_masks(parent, spec.r - 1, within=smask)]
         if news and _overlap_hit(news, parent_cliques[spec.r], spec.s):
-            return False
-    return not any(contains_subgraph_at(child, p, k) for p in family.noncomplete)
+            return None
+    rows = [row | newbit if (smask >> i) & 1 else row for i, row in enumerate(parent.adj)]
+    child = Graph(k + 1, (*rows, smask))
+    return None if any(contains_subgraph_at(child, p, k) for p in family.noncomplete) else child
 
 
 def _canonical_shard(args):
@@ -225,8 +220,8 @@ def _canonical_shard(args):
             break
         parent_cliques = {rr: clique_mask_list(parent, rr) for rr in {b.r for b in family.books}}
         for smask in subset_orbit_reps(parent):
-            child = _child_graph(parent, smask)
-            if _child_is_free(parent, parent_cliques, child, smask, family):
+            child = _free_child(parent, parent_cliques, smask, family)
+            if child is not None:
                 found.add(canonical_form(child))
         extended += 1
     return found, extended
@@ -309,8 +304,8 @@ def _last_level_maxima(parents: list[CanonicalForm], r: int, family: ForbiddenFa
         for score, s in candidates:
             if score < max(best, 1):
                 break
-            child = _child_graph(p, s)
-            if _child_is_free(p, parent_cliques, child, s, family):
+            child = _free_child(p, parent_cliques, s, family)
+            if child is not None:
                 if score > best:
                     best, winners = score, []
                 winners.append(child)
@@ -579,32 +574,30 @@ def random_free_graph(n: int, family: ForbiddenFamily, rng: random.Random, p: fl
     violating structures until none remain.  Deterministic given the rng.
 
     Each step deletes an edge inside the first violation of
-    `patterns.first_violation`.  The repair runs that rule in stages, in its
-    order (each K(m), each book, each other pattern), every stage until it
-    is clean: deleting an edge creates no violation, so a clean stage stays
-    clean.  A book stage lists its cliques once and resumes one
-    `patterns.BookScan` at the row of its last hit after each deletion,
-    which drops exactly the cliques holding both ends of the edge.
+    `patterns.first_violation`.  The repair runs that rule one check of
+    `family.checks` at a time, each until it is clean: deleting an edge
+    creates no violation, so a clean check stays clean.  A book lists its
+    cliques once and resumes one `patterns.BookScan` at the row of its last
+    hit after each deletion, which drops exactly the cliques holding both
+    ends of the edge.
     """
     for pat in family.patterns:
         if pat.edge_count() == 0:
             raise ValueError("family forbids an edgeless pattern; no repair can succeed")
     g = from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
-    for m in family.complete_sizes:
-        while (clique := next(enumerate_clique_masks(g, m), None)) is not None:
-            g = _delete_inside(g, clique, rng)[0]
-    for spec in family.books:
-        # the book check perfbench traces (book.calls); a clean book stops here
-        if book_violation(g, spec) is None:
+    for check in family.checks:
+        if not isinstance(check, BookSpec):
+            while (span := violation_span(g, check)) is not None:
+                g = _delete_inside(g, span, rng)[0]
             continue
-        scan = BookScan(g, spec)
+        # the book check perfbench traces (book.calls); a clean book stops here
+        if book_violation(g, check) is None:
+            continue
+        scan = BookScan(g, check)
         hit = scan.first()
         while hit is not None:
             i, j = hit
             g, u, v = _delete_inside(g, scan.masks[i] | scan.masks[j], rng)
             scan.drop_edge(u, v)
             hit = scan.first(i)
-    for pat in family.noncomplete:
-        while (image := find_subgraph(g, pat)) is not None:
-            g = _delete_inside(g, sum(1 << v for v in image), rng)[0]
     return g

@@ -5,7 +5,8 @@ import pytest
 
 from booklab.cli import main
 from booklab.formats import graph6_decode, graph6_encode
-from booklab.graphs import complete_graph, count_cliques, turan_graph
+from booklab.graphs import complete_graph, count_cliques, disjoint_union, turan_graph
+from booklab.patterns import h1_graph
 
 K6 = graph6_encode(complete_graph(6))
 
@@ -58,6 +59,17 @@ def test_free_reports_books_before_patterns(capsys):
     data = run_json(capsys, "free", "--input", K6, "--forbid", "K(5),B(3,1)")
     assert data["violation"] == {
         "kind": "book", "r": 3, "s": 1, "first": [0, 1, 2], "second": [0, 3, 4], "overlap": 1,
+    }
+
+
+def test_free_reports_patterns_in_family_order(capsys):
+    # H1 on 0..6 and K5 on 7..11: the pattern listed first is reported
+    g6 = graph6_encode(disjoint_union(h1_graph(), complete_graph(5)))
+    data = run_json(capsys, "free", "--input", g6, "--forbid", "H1,K(5)")
+    assert data["violation"] == {"kind": "pattern", "pattern": "H1", "vertices": list(range(7))}
+    data = run_json(capsys, "free", "--input", g6, "--forbid", "K(5),H1")
+    assert data["violation"] == {
+        "kind": "pattern", "pattern": "K(5)", "vertices": [7, 8, 9, 10, 11],
     }
 
 

@@ -19,7 +19,10 @@ from booklab.graphs import (
     contains_subgraph,
     count_cliques,
     cycle_graph,
+    disjoint_union,
     empty_graph,
+    enumerate_clique_masks,
+    find_subgraph,
     from_edges,
     from_mask,
     turan_graph,
@@ -31,12 +34,12 @@ from booklab.patterns import (
     book_graph,
     book_violation,
     family_to_text,
-    find_pattern_violation,
     first_violation,
     h1_graph,
     h2_graph,
     is_free,
     parse_family,
+    violation_span,
 )
 
 from conftest import graphs, oracle_contains_subgraph
@@ -149,6 +152,30 @@ def _induced(g, mask):
                                 if u in index and v in index])
 
 
+def _three_loop_first_violation(g, family):
+    """first_violation as it was before `family.checks`: the K(m) sizes, then
+    the books, then the other patterns, each in family order."""
+    for m in family.complete_sizes:
+        clique = next(enumerate_clique_masks(g, m), None)
+        if clique is not None:
+            return clique
+    for spec in family.books:
+        w = book_violation(g, spec)
+        if w is not None:
+            return w.first.bits | w.second.bits
+    for p in family.noncomplete:
+        image = find_subgraph(g, p)
+        if image is not None:
+            return sum(1 << v for v in image)
+    return None
+
+
+@given(graphs(max_n=8), st.sampled_from(_MIXED_FAMILIES + [parse_family("K(5),H1,K(4),B(3,1)")]))
+@settings(max_examples=200)
+def test_first_violation_matches_the_three_loop_order(g, fam):
+    assert first_violation(g, fam) == _three_loop_first_violation(g, fam)
+
+
 @given(graphs(max_n=7), st.sampled_from(_MIXED_FAMILIES))
 @settings(max_examples=150)
 def test_is_free_matches_oracle_and_violation_is_real(g, fam):
@@ -163,12 +190,18 @@ def test_family_parts_are_derived_once_in_family_order():
     fam = parse_family("K(5),H1,K(4),B(3,1),K(5)")
     assert fam.complete_sizes == (5, 4)
     assert fam.noncomplete == (h1_graph(),)
+    assert fam.checks == (5, 4, BookSpec(3, 1), h1_graph())
     same = ForbiddenFamily(fam.books, fam.patterns)
     assert same == fam and hash(same) == hash(fam)
-    assert pickle.loads(pickle.dumps(fam)).complete_sizes == (5, 4)
-    assert "complete_sizes" not in repr(fam)
+    assert pickle.loads(pickle.dumps(fam)).checks == fam.checks
+    assert "complete_sizes" not in repr(fam) and "checks" not in repr(fam)
     # K(5) is listed before K(4), so its clique is the first violation
     assert first_violation(complete_graph(6), fam) == 0b11111
+    # a bowtie beside H1, which holds K4s: the K(4) check comes before both,
+    # and without the K(m) terms the bowtie comes before H1
+    g = disjoint_union(book_graph(BookSpec(3, 1)), h1_graph())
+    assert first_violation(g, fam) == 0b1111 << 5
+    assert first_violation(g, ForbiddenFamily(fam.books, fam.noncomplete)) == 0b11111
 
 
 def test_fixed_patterns_structure():
@@ -177,10 +210,18 @@ def test_fixed_patterns_structure():
     assert count_cliques(h1, 4) == 4
     assert count_cliques(h1, 5) == 0
     assert is_free(h1, ForbiddenFamily(books=(BookSpec(4, 1),)))
+    # H1 is the union of four K4 blocks, and misses exactly six pairs
+    for block in [(0, 1, 2, 3), (1, 2, 3, 5), (1, 3, 4, 5), (2, 3, 5, 6)]:
+        assert all(h1.has_edge(u, v) for u, v in itertools.combinations(block, 2))
+    non_edges = {(u, v) for u, v in itertools.combinations(range(7), 2) if not h1.has_edge(u, v)}
+    assert non_edges == {(0, 4), (0, 5), (0, 6), (1, 6), (2, 4), (4, 6)}
     h2 = h2_graph()
     assert (h2.n, h2.edge_count()) == (6, 13)
     assert count_cliques(h2, 5) == 1
     assert count_cliques(h2, 4) == 6
+    # K5 on 0..4, and vertex 5 joined to three of its vertices
+    assert all(h2.has_edge(u, v) for u, v in itertools.combinations(range(5), 2))
+    assert h2.neighbors(5) == (2, 3, 4)
 
 
 def test_parse_family_roundtrip():
@@ -206,14 +247,16 @@ def test_parse_family_rejects():
         parse_family("B(3,1),,K(4)")
 
 
-def test_find_pattern_violation():
+def test_violation_span_finds_each_kind_of_check():
     fam = parse_family("B(4,1),H1,K(5)")
-    hit = find_pattern_violation(complete_graph(5), fam)
-    assert hit is not None
-    name, image = hit
-    assert name in {"B(4,1)", "H1", "K(5)"}
-    assert len(set(image)) == len(image)
-    assert find_pattern_violation(turan_graph(8, 2), fam) is None
+    k5 = complete_graph(5)
+    # K(5) as a clique size and as a pattern graph: one 5-vertex image either way
+    assert violation_span(k5, 5) == violation_span(k5, k5) == 0b11111
+    # any two K4s of K5 share three vertices
+    assert violation_span(k5, BookSpec(4, 1)) is None
+    assert violation_span(book_graph(BookSpec(4, 1)), BookSpec(4, 1)) == 0b1111111
+    assert violation_span(h1_graph(), h1_graph()) == 0b1111111
+    assert all(violation_span(turan_graph(8, 2), check) is None for check in fam.checks)
 
 
 def _row_major_first_pair(g, spec):
