@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
 from typing import Iterator
 
 from . import canonical  # a cycle: canonical imports this module, and booklab loads it first
@@ -217,50 +216,52 @@ def to_mask(g: Graph) -> int:
 # ---------------------------------------------------------------------------
 # cliques
 
+# Each kernel recurses in a module-level helper that takes adj as an
+# argument: a closure that calls itself would leave a reference cycle for
+# the garbage collector on every call.
+
+def _count_from(adj: tuple[int, ...], cand: int, need: int) -> int:
+    if need == 1:
+        return cand.bit_count()
+    total = 0
+    while cand:
+        if cand.bit_count() < need:
+            break
+        low = cand & -cand
+        cand ^= low
+        total += _count_from(adj, cand & adj[low.bit_length() - 1], need - 1)
+    return total
+
+
 def count_cliques(g: Graph, r: int) -> int:
     """Number of r-cliques.  r=0 counts the empty clique once."""
     if r < 0:
         raise ValueError("clique size must be >= 0")
     if r == 0:
         return 1
-    adj = g.adj
+    return _count_from(g.adj, (1 << g.n) - 1, r)
 
-    def extend(cand: int, need: int) -> int:
-        if need == 1:
-            return cand.bit_count()
-        total = 0
-        while cand:
-            if cand.bit_count() < need:
-                break
-            low = cand & -cand
-            v = low.bit_length() - 1
-            cand ^= low
-            total += extend(cand & adj[v], need - 1)
-        return total
 
-    return extend((1 << g.n) - 1, r)
+def _masks_from(adj: tuple[int, ...], chosen: int, cand: int, need: int) -> Iterator[int]:
+    if need == 0:
+        yield chosen
+        return
+    while cand:
+        if cand.bit_count() < need:
+            return
+        low = cand & -cand
+        cand ^= low
+        yield from _masks_from(adj, chosen | low, cand & adj[low.bit_length() - 1], need - 1)
 
 
 def enumerate_clique_masks(g: Graph, r: int, within: int | None = None) -> Iterator[int]:
-    """Yield every r-clique as a bit mask, lexicographically by sorted members."""
+    """Yield every r-clique as a bit mask, lexicographically by sorted members.
+
+    Lazy, so a caller that wants only the first clique pays for no more.
+    """
     if r < 0:
         raise ValueError("clique size must be >= 0")
-    adj = g.adj
-    start = (1 << g.n) - 1 if within is None else within
-
-    def extend(chosen: int, cand: int, need: int) -> Iterator[int]:
-        if need == 0:
-            yield chosen
-            return
-        while cand:
-            if cand.bit_count() < need:
-                return
-            low = cand & -cand
-            v = low.bit_length() - 1
-            cand ^= low
-            yield from extend(chosen | low, cand & adj[v], need - 1)
-
-    yield from extend(0, start, r)
+    yield from _masks_from(g.adj, 0, (1 << g.n) - 1 if within is None else within, r)
 
 
 def enumerate_cliques(g: Graph, r: int) -> Iterator[VertexSet]:
@@ -269,26 +270,24 @@ def enumerate_cliques(g: Graph, r: int) -> Iterator[VertexSet]:
         yield VertexSet(mask)
 
 
+def _has_from(adj: tuple[int, ...], cand: int, need: int) -> bool:
+    if need == 1:
+        return cand != 0
+    while cand:
+        if cand.bit_count() < need:
+            return False
+        low = cand & -cand
+        cand ^= low
+        if _has_from(adj, cand & adj[low.bit_length() - 1], need - 1):
+            return True
+    return False
+
+
 def has_clique(g: Graph, r: int, within: int | None = None) -> bool:
     """Existence test with early exit; `within` restricts the candidate set."""
     if r <= 0:
         return r == 0
-    adj = g.adj
-
-    def extend(cand: int, need: int) -> bool:
-        if need == 1:
-            return cand != 0
-        while cand:
-            if cand.bit_count() < need:
-                return False
-            low = cand & -cand
-            v = low.bit_length() - 1
-            cand ^= low
-            if extend(cand & adj[v], need - 1):
-                return True
-        return False
-
-    return extend((1 << g.n) - 1 if within is None else within, r)
+    return _has_from(g.adj, (1 << g.n) - 1 if within is None else within, r)
 
 
 def clique_number(g: Graph) -> int:
@@ -298,10 +297,32 @@ def clique_number(g: Graph) -> int:
     return w
 
 
+def _list_into(out: list[int], adj: tuple[int, ...], chosen: int, cand: int, need: int) -> None:
+    if need == 1:
+        # the innermost burst appends at most n cliques before the guard
+        while cand:
+            low = cand & -cand
+            out.append(chosen | low)
+            cand ^= low
+        _check_clique_count(len(out), chosen.bit_count() + 1)  # chosen holds r - 1 vertices
+        return
+    while cand:
+        if cand.bit_count() < need:
+            return
+        low = cand & -cand
+        cand ^= low
+        _list_into(out, adj, chosen | low, cand & adj[low.bit_length() - 1], need - 1)
+
+
 def clique_mask_list(g: Graph, r: int) -> list[int]:
-    """Materialize all r-cliques as masks, refusing past CLIQUE_BUDGET."""
-    out = list(islice(enumerate_clique_masks(g, r), CLIQUE_BUDGET + 1))
-    _check_clique_count(len(out), r)
+    """Materialize all r-cliques as masks, in the order of
+    `enumerate_clique_masks`, refusing past CLIQUE_BUDGET."""
+    if r < 0:
+        raise ValueError("clique size must be >= 0")
+    if r == 0:
+        return [0]
+    out: list[int] = []
+    _list_into(out, g.adj, 0, (1 << g.n) - 1, r)
     return out
 
 

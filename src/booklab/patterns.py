@@ -108,6 +108,11 @@ class BookScan:
     of live cliques holding v, clique i at bit top - i: the cliques after
     row i are the low bits.  Raises ResourceLimitError past
     `graphs.CLIQUE_BUDGET`.
+
+    When more than s vertices lie in every clique (as the K_{s+1} of
+    K_{s+1} ∨ T does), any two cliques share more than s, and the scan is
+    clean for good: dropping cliques only grows that core.  Such a scan
+    builds no columns, and `cols` is None.
     """
 
     def __init__(self, g: Graph, spec: BookSpec):
@@ -115,6 +120,12 @@ class BookScan:
         self.s = spec.s
         self.top = len(masks) - 1
         self.live = (1 << len(masks)) - 1
+        core = (1 << g.n) - 1
+        for c in masks:
+            core &= c
+        if core.bit_count() > spec.s:
+            self.cols = None
+            return
         self.cols = cols = [0] * g.n
         for k, c in enumerate(reversed(masks)):
             bit = 1 << k
@@ -126,6 +137,8 @@ class BookScan:
     def first(self, start: int = 0) -> tuple[int, int] | None:
         """The first pair (i, j) with i >= start: the least i, then the least j."""
         cols, top, s = self.cols, self.top, self.s
+        if cols is None:
+            return None
         steps = range(s + 1, 0, -1)
         rest = [0] * (s + 1)
         for i, ci in enumerate(self.masks[start:], start):
@@ -150,6 +163,13 @@ class BookScan:
     def drop_edge(self, u: int, v: int) -> None:
         """Drop the cliques holding both u and v, as deleting edge uv does."""
         masks, cols, top = self.masks, self.cols, self.top
+        if cols is None:
+            both = (1 << u) | (1 << v)
+            for i, c in enumerate(masks):
+                if c & both == both:
+                    masks[i] = 0
+                    self.live ^= 1 << (top - i)
+            return
         dead = cols[u] & cols[v]
         self.live ^= dead
         members = 0

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from booklab.graphs import (
     cycle_graph,
     disjoint_union,
     empty_graph,
+    enumerate_clique_masks,
     enumerate_cliques,
     from_edges,
     from_mask,
@@ -102,6 +105,30 @@ def test_clique_number_examples():
     assert clique_number(complete_graph(6)) == 6
     assert clique_number(cycle_graph(5)) == 2
     assert clique_number(turan_graph(9, 3)) == 3
+
+
+@given(graphs(max_n=8))
+def test_clique_mask_list_keeps_the_lazy_order(g):
+    for r in range(7):
+        assert clique_mask_list(g, r) == list(enumerate_clique_masks(g, r))
+
+
+def test_clique_kernels_leave_no_cyclic_garbage():
+    # a recursive closure refers to itself, so each call would leave a cycle
+    g = turan_graph(12, 4)
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(100):
+            count_cliques(g, 3)
+            has_clique(g, 3)
+            clique_mask_list(g, 3)
+            list(enumerate_clique_masks(g, 3))
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_clique_mask_budget(monkeypatch):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import booklab
+from booklab.constructions import book_extremal
 from booklab.errors import ResourceLimitError
 from booklab.graphs import (
     Graph,
@@ -25,6 +26,7 @@ from booklab.graphs import (
     find_subgraph,
     from_edges,
     from_mask,
+    join,
     turan_graph,
 )
 from booklab.patterns import (
@@ -274,6 +276,22 @@ def _scan_pair(g, spec):
     return None if w is None else (w.first.bits, w.second.bits)
 
 
+def _core(g, r):
+    """The vertices in every r-clique of g, from an AND over the list; none
+    when g has no r-clique."""
+    masks = clique_mask_list(g, r)
+    core = masks[0] if masks else 0
+    for c in masks:
+        core &= c
+    return core
+
+
+def _joins(g, s):
+    """K_c ∨ g for c = 0..s+2, so the core of the r-cliques falls below, at
+    or above s."""
+    return [join(complete_graph(c), g) for c in range(s + 3)]
+
+
 @pytest.mark.parametrize("n, p", [(20, 0.5), (70, 0.2), (130, 0.12)])
 def test_book_scan_matches_row_major_double_loop(n, p):
     # n > 64 spreads each clique over several machine words
@@ -284,6 +302,13 @@ def test_book_scan_matches_row_major_double_loop(n, p):
             for s in range(r):
                 spec = BookSpec(r, s)
                 assert _scan_pair(g, spec) == _row_major_first_pair(g, spec)
+    # a clean join makes the double loop run in full, so its base stays small
+    g = from_mask(12, sum(1 << k for k in range(66) if rng.random() < p))
+    for r in range(2, 5):
+        for s in range(r):
+            spec = BookSpec(r, s)
+            for host in _joins(g, s):
+                assert _scan_pair(host, spec) == _row_major_first_pair(host, spec)
 
 
 def _column_scan_pair(g, spec):
@@ -317,6 +342,26 @@ _ALL_SPECS = [BookSpec(r, s) for r in range(2, 6) for s in range(r)]
 def test_book_violation_matches_the_column_scan(g):
     for spec in _ALL_SPECS:
         assert _scan_pair(g, spec) == _column_scan_pair(g, spec)
+        for host in _joins(g, spec.s):
+            assert _scan_pair(host, spec) == _column_scan_pair(host, spec)
+
+
+def _resume_after_deleting(g, u, v, spec):
+    rows = list(g.adj)
+    rows[u] ^= 1 << v
+    rows[v] ^= 1 << u
+    h = Graph(g.n, tuple(rows))
+    scan = BookScan(g, spec)
+    hit = scan.first()
+    scan.drop_edge(u, v)
+    # the live rows are the cliques of h, in order
+    assert [m for m in scan.masks if m] == clique_mask_list(h, spec.r)
+    assert scan.live == sum(1 << (scan.top - i) for i, m in enumerate(scan.masks) if m)
+    # every row before the old hit was clean and stays clean
+    hit = scan.first(0 if hit is None else hit[0])
+    got = None if hit is None else (scan.masks[hit[0]], scan.masks[hit[1]])
+    assert got == _scan_pair(h, spec)
+    return scan
 
 
 @given(graphs(min_n=2, max_n=9), st.data())
@@ -326,20 +371,31 @@ def test_resumed_scan_equals_a_fresh_scan_after_a_deletion(g, data):
     if not edges:
         return
     u, v = data.draw(st.sampled_from(edges))
-    rows = list(g.adj)
-    rows[u] ^= 1 << v
-    rows[v] ^= 1 << u
-    h = Graph(g.n, tuple(rows))
     for spec in _ALL_SPECS:
-        scan = BookScan(g, spec)
-        hit = scan.first()
-        scan.drop_edge(u, v)
-        # the live rows are the cliques of h, in order
-        assert [m for m in scan.masks if m] == clique_mask_list(h, spec.r)
-        # every row before the old hit was clean and stays clean
-        hit = scan.first(0 if hit is None else hit[0])
-        got = None if hit is None else (scan.masks[hit[0]], scan.masks[hit[1]])
-        assert got == _scan_pair(h, spec)
+        _resume_after_deleting(g, u, v, spec)
+        for c, host in enumerate(_joins(g, spec.s)):
+            _resume_after_deleting(host, u + c, v + c, spec)
+            core = list(_bits(_core(host, spec.r)))
+            if len(core) >= 2:
+                # an edge inside the core lies in every clique
+                scan = _resume_after_deleting(host, core[0], core[1], spec)
+                assert not any(scan.masks) and scan.live == 0
+
+
+@pytest.mark.parametrize("n, r, s", [(12, 3, 1), (24, 7, 1), (20, 5, 2), (14, 7, 3)])
+def test_a_core_above_s_skips_the_pair_scan(n, r, s):
+    # every r-clique of K_{s+1} ∨ T holds the K_{s+1}, so no pair meets in s
+    spec = BookSpec(r, s)
+    g = book_extremal(n, r, s)
+    assert _core(g, r).bit_count() > s
+    scan = BookScan(g, spec)
+    assert scan.cols is None and scan.first() is None
+    assert book_violation(g, spec) is None
+    # K_s ∨ T_{r-s}(n-s) with parts of two or more: a core of exactly s, and a book
+    h = join(complete_graph(s), turan_graph(n - s, r - s))
+    assert _core(h, r).bit_count() == s
+    assert BookScan(h, spec).cols is not None
+    assert book_violation(h, spec) is not None
 
 
 def test_book_scan_without_a_hit():
