@@ -142,8 +142,9 @@ def _cmd_construct(args) -> int:
     if args.family:
         family = parse_family(args.family)
     else:
-        # the default family is one book on predicted_count r-cliques, which
-        # is_free would list in full before its budget stops it
+        # the budget bounds the construction's r-cliques, predicted_count of
+        # them, and an order past it exits 3 before any clique is listed;
+        # is_free itself lists only the cliques of the twin quotient
         _check_clique_count(predicted, default_family.books[0].r)
         family = default_family
     sidecar = {

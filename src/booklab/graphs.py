@@ -107,13 +107,15 @@ class Graph:
         """Relabel: vertex v of self becomes perm[v] of the result."""
         if sorted(perm) != list(range(self.n)):
             raise ValueError("perm is not a permutation of range(n)")
+        image = [1 << p for p in perm]
         rows = [0] * self.n
-        for u in range(self.n):
-            pu = perm[u]
-            row = 0
-            for v in _bits(self.adj[u]):
-                row |= 1 << perm[v]
-            rows[pu] = row
+        for u, row in enumerate(self.adj):
+            out = 0
+            while row:
+                low = row & -row
+                out |= image[low.bit_length() - 1]
+                row ^= low
+            rows[perm[u]] = out
         return Graph(self.n, tuple(rows))
 
 
@@ -220,26 +222,64 @@ def to_mask(g: Graph) -> int:
 # argument: a closure that calls itself would leave a reference cycle for
 # the garbage collector on every call.
 
-def _count_from(adj: tuple[int, ...], cand: int, need: int) -> int:
-    if need == 1:
-        return cand.bit_count()
+def twin_classes(g: Graph) -> tuple[int, tuple[int, ...] | None]:
+    """The classes of false twins, vertices with equal adjacency rows (so
+    never adjacent), as (reps, size): reps holds the least vertex of each
+    class, and size[v] is the size of v's class for v in reps, 0 elsewhere;
+    size is None when every class is one vertex."""
+    if len(set(g.adj)) == g.n:
+        return (1 << g.n) - 1, None
+    rep: dict[int, int] = {}
+    size = [0] * g.n
+    reps = 0
+    for v, row in enumerate(g.adj):
+        u = rep.setdefault(row, v)
+        if u == v:
+            reps |= 1 << v
+        size[u] += 1
+    return reps, tuple(size)
+
+
+def _count_from(adj: tuple[int, ...], size: tuple[int, ...] | None, cand: int, need: int) -> int:
+    """Sum over the need-cliques inside cand of the product of their
+    members' size; size None weighs every vertex 1, so the last vertex is
+    counted by a popcount without a call."""
     total = 0
+    if need == 1:
+        if size is None:
+            return cand.bit_count()
+        while cand:
+            low = cand & -cand
+            total += size[low.bit_length() - 1]
+            cand ^= low
+        return total
     while cand:
         if cand.bit_count() < need:
             break
         low = cand & -cand
         cand ^= low
-        total += _count_from(adj, cand & adj[low.bit_length() - 1], need - 1)
+        v = low.bit_length() - 1
+        if size is not None:
+            total += size[v] * _count_from(adj, size, cand & adj[v], need - 1)
+        elif need == 2:
+            total += (cand & adj[v]).bit_count()
+        else:
+            total += _count_from(adj, None, cand & adj[v], need - 1)
     return total
 
 
 def count_cliques(g: Graph, r: int) -> int:
-    """Number of r-cliques.  r=0 counts the empty clique once."""
+    """Number of r-cliques.  r=0 counts the empty clique once.
+
+    An r-clique takes one vertex of each class of an r-clique of
+    `twin_classes` representatives, any choice, so each of those weighs
+    the product of its class sizes."""
     if r < 0:
         raise ValueError("clique size must be >= 0")
     if r == 0:
         return 1
-    return _count_from(g.adj, (1 << g.n) - 1, r)
+    reps, size = twin_classes(g)
+    return _count_from(g.adj, size, reps, r)
 
 
 def _masks_from(adj: tuple[int, ...], chosen: int, cand: int, need: int) -> Iterator[int]:
@@ -314,15 +354,15 @@ def _list_into(out: list[int], adj: tuple[int, ...], chosen: int, cand: int, nee
         _list_into(out, adj, chosen | low, cand & adj[low.bit_length() - 1], need - 1)
 
 
-def clique_mask_list(g: Graph, r: int) -> list[int]:
-    """Materialize all r-cliques as masks, in the order of
-    `enumerate_clique_masks`, refusing past CLIQUE_BUDGET."""
+def clique_mask_list(g: Graph, r: int, within: int | None = None) -> list[int]:
+    """Materialize all r-cliques (inside `within`, if given) as masks, in
+    the order of `enumerate_clique_masks`, refusing past CLIQUE_BUDGET."""
     if r < 0:
         raise ValueError("clique size must be >= 0")
     if r == 0:
         return [0]
     out: list[int] = []
-    _list_into(out, g.adj, 0, (1 << g.n) - 1, r)
+    _list_into(out, g.adj, 0, (1 << g.n) - 1 if within is None else within, r)
     return out
 
 

@@ -20,6 +20,7 @@ from .graphs import (
     enumerate_clique_masks,
     find_subgraph,
     from_edges,
+    twin_classes,
 )
 
 
@@ -100,27 +101,39 @@ def book_graph(spec: BookSpec) -> Graph:
 
 
 class BookScan:
-    """The r-cliques of a graph, scanned row by row for a pair sharing
-    exactly s vertices, with the cliques of deleted edges dropped in place.
+    """The r-cliques of a graph, scanned row by row for a pair that marks a
+    book B(r,s), with the cliques of deleted edges dropped in place.
 
-    `masks` lists the cliques lexicographically; a dropped clique keeps its
-    row as 0, so every other clique keeps its index.  cols[v] is the bitset
-    of live cliques holding v, clique i at bit top - i: the cliques after
-    row i are the low bits.  Raises ResourceLimitError past
-    `graphs.CLIQUE_BUDGET`.
+    `masks` lists the cliques inside `within` lexicographically; a dropped
+    clique keeps its row as 0, so every other clique keeps its index.
+    cols[v] is the bitset of live cliques holding v, clique i at bit
+    top - i: the cliques after row i are the low bits.  Raises
+    ResourceLimitError past `graphs.CLIQUE_BUDGET`.
 
-    When more than s vertices lie in every clique (as the K_{s+1} of
-    K_{s+1} ∨ T does), any two cliques share more than s, and the scan is
-    clean for good: dropping cliques only grows that core.  Such a scan
-    builds no columns, and `cols` is None.
+    By default (`within` and `singles` every vertex) a hit is a pair sharing
+    exactly s vertices.  With `within` the `graphs.twin_classes`
+    representatives and `singles` those whose class has one vertex, a hit
+    exists iff g holds a B(r,s), by this lemma.  Every r-clique of g takes
+    one vertex of each class of one representative r-clique Q, and every
+    such choice is a clique.  Cliques over Q1 != Q2 meet in every size from
+    singles(Q1 ∩ Q2) to |Q1 ∩ Q2|; two over one Q, in every size from
+    singles(Q) to r - 1.  So the hits are the pairs with |Q1 ∩ Q2| >= s and
+    singles(Q1 ∩ Q2) <= s, and the rows with singles(Q) <= s.
+
+    When more than s single vertices lie in every clique (as the K_{s+1}
+    of K_{s+1} ∨ T does), any two cliques of g share more than s, and the
+    scan is clean for good: dropping cliques only grows that core.  Such a
+    scan builds no columns, and `cols` is None.
     """
 
-    def __init__(self, g: Graph, spec: BookSpec):
-        self.masks = masks = clique_mask_list(g, spec.r)
+    def __init__(self, g: Graph, spec: BookSpec, within: int | None = None,
+                 singles: int | None = None):
+        self.masks = masks = clique_mask_list(g, spec.r, within)
         self.s = spec.s
+        self.singles = (1 << g.n) - 1 if singles is None else singles
         self.top = len(masks) - 1
         self.live = (1 << len(masks)) - 1
-        core = (1 << g.n) - 1
+        core = self.singles
         for c in masks:
             core &= c
         if core.bit_count() > spec.s:
@@ -135,8 +148,10 @@ class BookScan:
                 c ^= low
 
     def first(self, start: int = 0) -> tuple[int, int] | None:
-        """The first pair (i, j) with i >= start: the least i, then the least j."""
-        cols, top, s = self.cols, self.top, self.s
+        """The first hit (i, j) with i >= start: the least i, then the least
+        j; (i, i) when row i is a hit by itself, which needs at most s
+        single members and so never happens by default."""
+        cols, top, s, singles = self.cols, self.top, self.s, self.singles
         if cols is None:
             return None
         steps = range(s + 1, 0, -1)
@@ -144,24 +159,38 @@ class BookScan:
         for i, ci in enumerate(self.masks[start:], start):
             if not ci:
                 continue
+            one = ci & singles
+            if one.bit_count() <= s:
+                return i, i
             # at[t]: the cliques after row i sharing at least t vertices with
-            # it; only at[0] holds dropped ones, as no column does
+            # it; only at[0] holds dropped ones, as no column does.  The
+            # single members go first, and many keeps the cliques sharing
+            # more than s of them, which no choice of twins brings down to s
             at = [(1 << (top - i)) - 1] + rest
-            while ci:
-                low = ci & -ci
+            other = ci ^ one
+            while one:
+                low = one & -one
                 col = cols[low.bit_length() - 1]
-                ci ^= low
+                one ^= low
                 for t in steps:
                     at[t] |= at[t - 1] & col
-            exact = at[s] & ~at[s + 1]
-            if exact:
-                exact &= self.live
-                if exact:
-                    return i, top + 1 - exact.bit_length()
+            many = at[s + 1]
+            while other:
+                low = other & -other
+                col = cols[low.bit_length() - 1]
+                other ^= low
+                for t in steps:
+                    at[t] |= at[t - 1] & col
+            hit = at[s] & ~many
+            if hit:
+                hit &= self.live
+                if hit:
+                    return i, top + 1 - hit.bit_length()
         return None
 
     def drop_edge(self, u: int, v: int) -> None:
-        """Drop the cliques holding both u and v, as deleting edge uv does."""
+        """Drop the cliques holding both u and v, as deleting edge uv does.
+        Valid only on a default scan: deleting an edge splits twin classes."""
         masks, cols, top = self.masks, self.cols, self.top
         if cols is None:
             both = (1 << u) | (1 << v)
@@ -187,8 +216,16 @@ def book_violation(g: Graph, spec: BookSpec) -> CliqueWitness | None:
     row-major order is returned (the least i, then the least j), so the
     witness is deterministic.  This is `BookScan.first` from row 0, the one
     book scanner; `search.random_free_graph` resumes the same scan after
-    each deleted edge.  Raises ResourceLimitError past `graphs.CLIQUE_BUDGET`.
+    each deleted edge.  When g has false twins, the scan of its twin
+    quotient runs first and answers None when it finds no hit, so a clean
+    graph lists only the quotient's cliques.  Raises ResourceLimitError past
+    `graphs.CLIQUE_BUDGET`.
     """
+    reps, size = twin_classes(g)
+    if size is not None:
+        singles = sum(1 << v for v, k in enumerate(size) if k == 1)
+        if BookScan(g, spec, reps, singles).first() is None:
+            return None
     scan = BookScan(g, spec)
     hit = scan.first()
     if hit is None:

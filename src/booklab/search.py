@@ -121,9 +121,10 @@ def _labeled_shard(args):
             break
         examined += 1
         g = from_mask(n, mask)
-        if not is_free(g, family):
-            continue
+        # a count below the best can neither raise it nor join the witnesses
         c = count_cliques(g, r)
+        if c < best or not is_free(g, family):
+            continue
         if c > best:
             best = c
             wit = set()

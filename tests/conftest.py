@@ -36,6 +36,26 @@ def graphs_with_vertex_pair(draw, min_n=2, max_n=8):
     return g, u, v
 
 
+@st.composite
+def twin_blowups(draw, max_base=5):
+    """A small graph with each vertex blown up into 1-3 false twins (equal
+    rows, pairwise non-adjacent), then up to two twin pairs joined (true
+    twins), up to two pairs toggled (broken rows) and the vertices shuffled."""
+    base = draw(graphs(min_n=1, max_n=max_base))
+    owner = [v for v in range(base.n) for _ in range(draw(st.integers(1, 3)))]
+    n = len(owner)
+    pairs = {(a, b) for a, b in itertools.combinations(range(n), 2)
+             if base.has_edge(owner[a], owner[b])}
+    twins = [(a, b) for a, b in itertools.combinations(range(n), 2) if owner[a] == owner[b]]
+    if twins:
+        pairs |= set(draw(st.lists(st.sampled_from(twins), max_size=2)))
+    if n > 1:
+        pairs ^= set(draw(st.lists(st.sampled_from(list(itertools.combinations(range(n), 2))),
+                                   max_size=2, unique=True)))
+    perm = draw(st.permutations(range(n)))
+    return from_edges(n, [(perm[a], perm[b]) for a, b in pairs])
+
+
 # ---------------------------------------------------------------------------
 # highly symmetric graphs, hard cases for canonical labeling
 

@@ -29,9 +29,10 @@ from booklab.graphs import (
     to_mask,
     turan_graph,
     turan_part_sizes,
+    twin_classes,
 )
 
-from conftest import graphs, oracle_contains_subgraph, oracle_count_cliques
+from conftest import graphs, oracle_contains_subgraph, oracle_count_cliques, twin_blowups
 
 
 def test_from_edges_rejects_bad_input():
@@ -69,9 +70,36 @@ def test_permute_preserves_edge_count(g):
     assert g.permute(perm).edge_count() == g.edge_count()
 
 
+@given(graphs(max_n=9), st.data())
+def test_permute_matches_a_set_relabel(g, data):
+    perm = data.draw(st.permutations(range(g.n)))
+    want = {frozenset((perm[u], perm[v])) for u, v in g.edges()}
+    h = g.permute(perm)
+    assert {frozenset(e) for e in h.edges()} == want and h.n == g.n
+
+
 @given(graphs(max_n=7), st.integers(min_value=0, max_value=8))
 def test_count_cliques_matches_subset_oracle(g, r):
     assert count_cliques(g, r) == oracle_count_cliques(g, r)
+
+
+@given(twin_blowups())
+@settings(max_examples=150)
+def test_count_cliques_on_twin_blowups_matches_subset_oracle(g):
+    for r in range(7):
+        assert count_cliques(g, r) == oracle_count_cliques(g, r)
+
+
+@given(twin_blowups())
+def test_twin_classes_group_equal_rows(g):
+    rows = [frozenset(w for w in range(g.n) if g.has_edge(v, w)) for v in range(g.n)]
+    groups: dict[frozenset, list[int]] = {}
+    for v, row in enumerate(rows):
+        groups.setdefault(row, []).append(v)
+    reps, size = twin_classes(g)
+    assert reps == sum(1 << vs[0] for vs in groups.values())
+    want = tuple(len(groups[row]) if groups[row][0] == v else 0 for v, row in enumerate(rows))
+    assert size == (None if len(groups) == g.n else want)
 
 
 @given(graphs(min_n=1, max_n=7), st.integers(min_value=1, max_value=5))

@@ -28,6 +28,7 @@ from booklab.graphs import (
     from_mask,
     join,
     turan_graph,
+    twin_classes,
 )
 from booklab.patterns import (
     BookScan,
@@ -44,7 +45,7 @@ from booklab.patterns import (
     violation_span,
 )
 
-from conftest import graphs, oracle_contains_subgraph
+from conftest import graphs, oracle_contains_subgraph, twin_blowups
 
 
 def test_book_spec_validation():
@@ -344,6 +345,33 @@ def test_book_violation_matches_the_column_scan(g):
         assert _scan_pair(g, spec) == _column_scan_pair(g, spec)
         for host in _joins(g, spec.s):
             assert _scan_pair(host, spec) == _column_scan_pair(host, spec)
+
+
+@given(twin_blowups())
+@settings(max_examples=150)
+def test_book_violation_on_twin_blowups(g):
+    reps, size = twin_classes(g)
+    singles = reps if size is None else sum(1 << v for v, k in enumerate(size) if k == 1)
+    for spec in _ALL_SPECS:
+        want = _row_major_first_pair(g, spec)
+        assert _scan_pair(g, spec) == want
+        # the quotient scan alone decides freeness, by the BookScan lemma
+        quotient = BookScan(g, spec, reps, singles).first()
+        assert (quotient is None) == (book_violation(g, spec) is None) == (want is None)
+
+
+def test_the_budget_bounds_the_twin_quotient(monkeypatch):
+    monkeypatch.setattr("booklab.graphs.CLIQUE_BUDGET", 2)
+    # K2 ∨ T_2(10): 25 four-cliques in g, one in its quotient, and clean
+    clean = book_extremal(12, 4, 1)
+    with pytest.raises(ResourceLimitError):
+        clique_mask_list(clean, 4)
+    assert is_free(clean, parse_family("B(4,1)"))
+    # K1 ∨ T_3(9): one quotient clique with a single member, so a B(4,1),
+    # which is located on g's 27 cliques
+    dirty = join(complete_graph(1), turan_graph(9, 3))
+    with pytest.raises(ResourceLimitError):
+        is_free(dirty, parse_family("B(4,1)"))
 
 
 def _resume_after_deleting(g, u, v, spec):
