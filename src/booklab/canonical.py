@@ -133,6 +133,7 @@ def _canonical_search(g: Graph) -> tuple[CanonicalForm, tuple[tuple[int, ...], .
         return n
 
     descend(_refine(adj, [(1 << n) - 1]), ())
+    del descend  # the closure refers to itself, a cycle each call would leave
     for v, u in twins.items():
         sigma = list(range(n))
         sigma[u], sigma[v] = v, u

@@ -433,7 +433,9 @@ def _embed(
                 return True
         return False
 
-    return tuple(image) if place(0, 0) else None
+    found = place(0, 0)
+    del place  # the closure refers to itself, a cycle each call would leave
+    return tuple(image) if found else None
 
 
 def find_subgraph(

@@ -33,19 +33,19 @@ class Partition:
         return len(self.parts)
 
 
+def _partitions_from(remaining: int, cap: int, prefix: tuple[int, ...]) -> Iterator[Partition]:
+    if remaining == 0:
+        yield Partition(prefix)
+        return
+    for a in range(min(cap, remaining), 0, -1):
+        yield from _partitions_from(remaining - a, a, prefix + (a,))
+
+
 def enumerate_partitions(r: int) -> Iterator[Partition]:
     """All partitions of r in reverse-lexicographic order: (r) first, all-ones last."""
     if r < 1:
         raise ValueError("partitions are defined for r >= 1")
-
-    def gen(remaining: int, cap: int, prefix: tuple[int, ...]) -> Iterator[Partition]:
-        if remaining == 0:
-            yield Partition(prefix)
-            return
-        for a in range(min(cap, remaining), 0, -1):
-            yield from gen(remaining - a, a, prefix + (a,))
-
-    yield from gen(r, r, ())
+    yield from _partitions_from(r, r, ())
 
 
 def achievable_sums(p: Partition) -> int:
@@ -63,24 +63,23 @@ def is_s_sum_free(p: Partition, s: int) -> bool:
     return (achievable_sums(p) >> s) & 1 == 0
 
 
+def _pick(parts: tuple[int, ...], idx: int, remaining: int, chosen: list[int]) -> bool:
+    """Extend chosen by parts from idx on until they sum to remaining."""
+    if remaining == 0:
+        return True
+    if idx == len(parts) or remaining < 0:
+        return False
+    chosen.append(parts[idx])
+    if _pick(parts, idx + 1, remaining - parts[idx], chosen):
+        return True
+    chosen.pop()
+    return _pick(parts, idx + 1, remaining, chosen)
+
+
 def offending_subset(p: Partition, s: int) -> tuple[int, ...] | None:
     """Some sub-multiset of parts summing to s, or None; used for diagnostics."""
     chosen: list[int] = []
-
-    def pick(idx: int, remaining: int) -> bool:
-        if remaining == 0:
-            return True
-        if idx == len(p.parts) or remaining < 0:
-            return False
-        chosen.append(p.parts[idx])
-        if pick(idx + 1, remaining - p.parts[idx]):
-            return True
-        chosen.pop()
-        return pick(idx + 1, remaining)
-
-    if pick(0, s):
-        return tuple(chosen)
-    return None
+    return tuple(chosen) if _pick(p.parts, 0, s, chosen) else None
 
 
 def beta(r: int, s: int) -> tuple[int, Partition]:

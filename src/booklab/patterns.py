@@ -119,11 +119,6 @@ class BookScan:
     singles(Q1 ∩ Q2) to |Q1 ∩ Q2|; two over one Q, in every size from
     singles(Q) to r - 1.  So the hits are the pairs with |Q1 ∩ Q2| >= s and
     singles(Q1 ∩ Q2) <= s, and the rows with singles(Q) <= s.
-
-    When more than s single vertices lie in every clique (as the K_{s+1}
-    of K_{s+1} ∨ T does), any two cliques of g share more than s, and the
-    scan is clean for good: dropping cliques only grows that core.  Such a
-    scan builds no columns, and `cols` is None.
     """
 
     def __init__(self, g: Graph, spec: BookSpec, within: int | None = None,
@@ -133,12 +128,6 @@ class BookScan:
         self.singles = (1 << g.n) - 1 if singles is None else singles
         self.top = len(masks) - 1
         self.live = (1 << len(masks)) - 1
-        core = self.singles
-        for c in masks:
-            core &= c
-        if core.bit_count() > spec.s:
-            self.cols = None
-            return
         self.cols = cols = [0] * g.n
         for k, c in enumerate(reversed(masks)):
             bit = 1 << k
@@ -152,8 +141,6 @@ class BookScan:
         j; (i, i) when row i is a hit by itself, which needs at most s
         single members and so never happens by default."""
         cols, top, s, singles = self.cols, self.top, self.s, self.singles
-        if cols is None:
-            return None
         steps = range(s + 1, 0, -1)
         rest = [0] * (s + 1)
         for i, ci in enumerate(self.masks[start:], start):
@@ -192,13 +179,6 @@ class BookScan:
         """Drop the cliques holding both u and v, as deleting edge uv does.
         Valid only on a default scan: deleting an edge splits twin classes."""
         masks, cols, top = self.masks, self.cols, self.top
-        if cols is None:
-            both = (1 << u) | (1 << v)
-            for i, c in enumerate(masks):
-                if c & both == both:
-                    masks[i] = 0
-                    self.live ^= 1 << (top - i)
-            return
         dead = cols[u] & cols[v]
         self.live ^= dead
         members = 0
@@ -218,7 +198,8 @@ def book_violation(g: Graph, spec: BookSpec) -> CliqueWitness | None:
     book scanner; `search.random_free_graph` resumes the same scan after
     each deleted edge.  When g has false twins, the scan of its twin
     quotient runs first and answers None when it finds no hit, so a clean
-    graph lists only the quotient's cliques.  Raises ResourceLimitError past
+    graph with twins lists only the quotient's cliques; a graph with none
+    is scanned in full.  Raises ResourceLimitError past
     `graphs.CLIQUE_BUDGET`.
     """
     reps, size = twin_classes(g)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from booklab.canonical import canonical_form, subset_orbit_reps
 from booklab.errors import ResourceLimitError
 from booklab.formats import graph6_decode, graph6_encode
 from booklab.graphs import (
@@ -21,6 +22,7 @@ from booklab.graphs import (
     empty_graph,
     enumerate_clique_masks,
     enumerate_cliques,
+    find_subgraph,
     from_edges,
     from_mask,
     has_clique,
@@ -31,6 +33,7 @@ from booklab.graphs import (
     turan_part_sizes,
     twin_classes,
 )
+from booklab.partitions import Partition, beta, offending_subset
 
 from conftest import graphs, oracle_contains_subgraph, oracle_count_cliques, twin_blowups
 
@@ -141,22 +144,48 @@ def test_clique_mask_list_keeps_the_lazy_order(g):
         assert clique_mask_list(g, r) == list(enumerate_clique_masks(g, r))
 
 
-def test_clique_kernels_leave_no_cyclic_garbage():
-    # a recursive closure refers to itself, so each call would leave a cycle
-    g = turan_graph(12, 4)
+def _cyclic_garbage(call) -> int:
+    """Objects that only the cycle collector frees, left by 100 calls."""
     gc.collect()
     enabled = gc.isenabled()
     gc.disable()
     try:
         for _ in range(100):
-            count_cliques(g, 3)
-            has_clique(g, 3)
-            clique_mask_list(g, 3)
-            list(enumerate_clique_masks(g, 3))
-        assert gc.collect() == 0
+            call()
+        return gc.collect()
     finally:
         if enabled:
             gc.enable()
+
+
+def test_clique_kernels_leave_no_cyclic_garbage():
+    # a recursive closure refers to itself, so each call would leave a cycle
+    g = turan_graph(12, 4)
+
+    def kernels():
+        count_cliques(g, 3)
+        has_clique(g, 3)
+        clique_mask_list(g, 3)
+        list(enumerate_clique_masks(g, 3))
+
+    assert _cyclic_garbage(kernels) == 0
+
+
+_T12 = turan_graph(12, 4)
+_RECURSIVE_CALLS = {
+    "find_subgraph": lambda: find_subgraph(_T12, cycle_graph(5)),
+    "find_subgraph_pinned": lambda: find_subgraph(_T12, cycle_graph(5), pin=(2, 7)),
+    "contains_subgraph_at": lambda: contains_subgraph_at(_T12, cycle_graph(5), 7),
+    "canonical_form": lambda: canonical_form(cycle_graph(8)),
+    "subset_orbit_reps": lambda: subset_orbit_reps(cycle_graph(6)),
+    "beta": lambda: beta(8, 3),
+    "offending_subset": lambda: offending_subset(Partition((3, 2, 2, 1)), 4),
+}
+
+
+@pytest.mark.parametrize("name", _RECURSIVE_CALLS)
+def test_recursive_searches_leave_no_cyclic_garbage(name):
+    assert _cyclic_garbage(_RECURSIVE_CALLS[name]) == 0
 
 
 def test_clique_mask_budget(monkeypatch):

@@ -1,6 +1,7 @@
 """Code hygiene: every name that src/, tests/ or scripts/ imports is used,
-every module-level private function in src/ has a caller, and every script
-starts.
+every module-level private function in src/ has a caller, no function
+nested in a src/ function keeps a cycle through its own name, and every
+script starts.
 
 A name counts as used when the module loads it somewhere, lists it in
 `__all__`, or re-exports it explicitly with the redundant alias form
@@ -99,6 +100,53 @@ def test_dead_helper_scanner_sees_callers():
         "b.py": "import a\nfrom a import _imported\n\ndef public():\n    a._used()\n",
     }
     assert dead_private_functions(sources) == [("a.py", 4, "_dead")]
+
+
+def self_calling_closures(source: str) -> list[tuple[int, str]]:
+    """Functions nested in a function that name themselves, so each call of
+    the enclosing function leaves a reference cycle for the collector,
+    unless the enclosing function `del`s that name."""
+    found = []
+    for outer in ast.walk(ast.parse(source)):
+        if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        deleted = {
+            t.id
+            for node in ast.walk(outer)
+            if isinstance(node, ast.Delete)
+            for t in node.targets
+            if isinstance(t, ast.Name)
+        }
+        for inner in ast.walk(outer):
+            if (
+                inner is not outer
+                and isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and inner.name not in deleted
+                and any(isinstance(n, ast.Name) and n.id == inner.name for n in ast.walk(inner))
+            ):
+                found.append((inner.lineno, inner.name))
+    return sorted(set(found))
+
+
+def test_no_self_calling_closures():
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in SOURCES
+        for line, name in self_calling_closures(path.read_text())
+    ]
+    assert not found, "closure refers to itself and is never deleted:\n" + "\n".join(found)
+
+
+def test_closure_scanner_sees_self_calls():
+    source = (
+        "def kept():\n    def walk(k):\n        return walk(k - 1) if k else 0\n    return walk(3)\n\n"
+        "def freed():\n    def walk(k):\n        return walk(k - 1) if k else 0\n"
+        "    found = walk(3)\n    del walk\n    return found\n\n"
+        "def flat():\n    def step(k):\n        return k + 1\n    return step(1)\n\n"
+        "def _module(k):\n    return _module(k - 1) if k else 0\n\n"
+        "class C:\n    def method(self):\n        return self.method\n"
+    )
+    assert self_calling_closures(source) == [(2, "walk")]
 
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)

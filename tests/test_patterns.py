@@ -411,18 +411,16 @@ def test_resumed_scan_equals_a_fresh_scan_after_a_deletion(g, data):
 
 
 @pytest.mark.parametrize("n, r, s", [(12, 3, 1), (24, 7, 1), (20, 5, 2), (14, 7, 3)])
-def test_a_core_above_s_skips_the_pair_scan(n, r, s):
+def test_a_core_above_s_is_free_and_a_core_of_s_holds_a_book(n, r, s):
     # every r-clique of K_{s+1} ∨ T holds the K_{s+1}, so no pair meets in s
     spec = BookSpec(r, s)
     g = book_extremal(n, r, s)
     assert _core(g, r).bit_count() > s
-    scan = BookScan(g, spec)
-    assert scan.cols is None and scan.first() is None
+    assert BookScan(g, spec).first() is None
     assert book_violation(g, spec) is None
     # K_s ∨ T_{r-s}(n-s) with parts of two or more: a core of exactly s, and a book
     h = join(complete_graph(s), turan_graph(n - s, r - s))
     assert _core(h, r).bit_count() == s
-    assert BookScan(h, spec).cols is not None
     assert book_violation(h, spec) is not None
 
 
@@ -457,7 +455,7 @@ def test_import_pulls_in_no_numpy():
     assert out.strip() == "False"
 
 
-def test_numpy_path_used_above_threshold():
+def test_row_major_witness_on_k22_triangles():
     # K(22) has 1540 triangles; on a large clique list the witness must
     # still be the deterministic row-major first pair
     g = complete_graph(22)
