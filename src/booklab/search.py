@@ -26,14 +26,17 @@ from __future__ import annotations
 import os
 import random
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import combinations
 
 from .canonical import CanonicalForm, canonical_form, nonedge_orbit_reps, subset_orbit_reps
 from .errors import ResourceLimitError
 from .graphs import (
     Graph,
     _bits,
+    _check_clique_count,
     _embed,
     clique_mask_list,
     contains_subgraph_at,
@@ -391,18 +394,22 @@ def exact_ex(
 # ---------------------------------------------------------------------------
 # local search
 
+def _edge_cover(n: int, cliques: list[int]) -> Graph:
+    """The edges inside the cliques: row v is the OR of those through v, minus v."""
+    rows = [0] * n
+    for c in cliques:
+        for v in _bits(c):
+            rows[v] |= c
+    return Graph(n, tuple(row & ~(1 << v) for v, row in enumerate(rows)))
+
+
 def cleanup_edges(g: Graph, r: int) -> Graph:
-    """Delete the edges lying in no r-clique.  One pass suffices and the
-    count of r-cliques is unchanged: no r-clique uses a deleted edge, so
-    every kept edge still lies in one."""
+    """Delete the edges lying in no r-clique, keeping those the r-cliques
+    cover; the count of r-cliques is unchanged.  Like every clique list,
+    listing the r-cliques is bounded by CLIQUE_BUDGET."""
     if r < 2:
         raise ValueError("cleanup needs r >= 2")
-    rows = list(g.adj)
-    for u, v in g.edges():
-        if not has_clique(g, r - 2, within=g.adj[u] & g.adj[v]):
-            rows[u] &= ~(1 << v)
-            rows[v] &= ~(1 << u)
-    return Graph(g.n, tuple(rows))
+    return _edge_cover(g.n, clique_mask_list(g, r))
 
 
 def clone_move(g: Graph, u: int, v: int) -> Graph:
@@ -426,31 +433,70 @@ def clone_move(g: Graph, u: int, v: int) -> Graph:
     return Graph(g.n, tuple(rows))
 
 
-def _clone_free(cand, src, targets, family, cliques_by_r):
-    """Family check for cand, made by cloning src over each target (all non-edges).
+def _clones_keep_books(src: int, books, cliques_by_r) -> bool:
+    """Does cloning src over non-neighbours keep a book-free graph free?
 
-    Only structures through a target are new.  New complete subgraphs are
-    impossible (they would pull back to the pre-move graph through src), so
-    K(m) patterns need no check here.  src and the targets are pairwise
-    non-adjacent twins in cand, and cand minus the targets lies in the free
-    pre-move graph.  So a new pattern embedding covers two vertices of that
-    twin class, and swapping twins moves them onto src and targets[0]: one
-    two-pin embedding per orbit of the pattern's non-edges decides it.
+    A clone replaces each clique c through src by c - src + t on each
+    target t.  An old clique b that stays meets it in |c & b| - [src in b]
+    vertices, and two copies meet as their originals do, or in one fewer
+    on two targets.  So a new B(r,s) is two r-cliques through src, not
+    necessarily distinct, that meet in s + 1 vertices, whatever the targets.
     """
     sbit = 1 << src
-    tmask = sum(1 << t for t in targets)
-    for spec in family.books:
-        cl = cliques_by_r[spec.r]
-        scl = [c for c in cl if c & sbit]
-        news = [(c ^ sbit) | (1 << t) for t in targets for c in scl]
-        if news and _overlap_hit(news, [c for c in cl if not c & tmask], spec.s):
-            return False
-    t0 = targets[0]
-    return not any(
-        _embed(cand, p, ((a, src), (b, t0))) is not None
-        for p in family.noncomplete
-        for a, b in nonedge_orbit_reps(p)
-    )
+    for spec in books:
+        through = [c for c in cliques_by_r[spec.r] if c & sbit]
+        for i, a in enumerate(through):
+            if any((a & b).bit_count() == spec.s + 1 for b in through[i:]):
+                return False
+    return True
+
+
+def _clone_free(cur, src, targets, family, cliques_by_r, books_ok):
+    """cur with src cloned over each target (non-neighbours of src), or None
+    when that is not free; books_ok memoises `_clones_keep_books` for cur.
+
+    No new K(m) can appear: it would pull back to cur through src.  src and
+    the targets are pairwise non-adjacent twins in the clone, which minus
+    the targets lies in the free cur, so a new pattern copy covers two
+    twins; swaps move them onto src and targets[0], and one two-pin
+    embedding per orbit of the pattern's non-edges decides it.
+    """
+    if src not in books_ok:
+        books_ok[src] = _clones_keep_books(src, family.books, cliques_by_r)
+    if not books_ok[src]:
+        return None
+    cand = cur
+    for t in targets:
+        cand = clone_move(cand, t, src)
+    for p in family.noncomplete:
+        for a, b in nonedge_orbit_reps(p):
+            if _embed(cand, p, ((a, src), (b, targets[0]))) is not None:
+                return None
+    return cand
+
+
+def _cloned_cliques(cl: list[int], src: int, targets: tuple[int, ...]) -> list[int]:
+    """cl, cliques of one size, after src is cloned over targets: those that
+    avoid the targets, and a copy on each target of those through src."""
+    sbit, tmask = 1 << src, sum(1 << t for t in targets)
+    moved = [c ^ sbit for c in cl if c & sbit]
+    return [c for c in cl if not c & tmask] + [c | (1 << t) for t in targets for c in moved]
+
+
+def _carry(cand: Graph, src: int, targets: tuple[int, ...], r: int, cliques_by_r) -> Graph:
+    """cand, the clone of src over targets, cleaned up; cliques_by_r goes
+    from the lists before the move to those of the result.  Cleanup keeps
+    the edges of the r-cliques, so only smaller cliques can lose one.  Each
+    list meets CLIQUE_BUDGET once final, as a list made afresh would."""
+    for rr, cl in cliques_by_r.items():
+        cliques_by_r[rr] = _cloned_cliques(cl, src, targets)
+    cur = _edge_cover(cand.n, cliques_by_r[r])
+    adj = cur.adj
+    for rr, cl in cliques_by_r.items():
+        if rr < r and adj != cand.adj:
+            cl = cliques_by_r[rr] = [c for c in cl if all(c & ~adj[v] == 1 << v for v in _bits(c))]
+        _check_clique_count(len(cl), rr)
+    return cur
 
 
 def symmetrize(
@@ -463,21 +509,23 @@ def symmetrize(
     clones over the two ends of an edge.  The count strictly increases with
     every accepted move, so termination is guaranteed.  A seed randomizes
     the order among equally good moves; by default ties break toward the
-    lexicographically smallest move.
+    lexicographically smallest move.  The clique lists are made after the
+    first cleanup and carried across the moves by `_carry`.
     """
     if not is_free(g, family):
         raise ValueError("symmetrize requires a family-free starting graph")
+    if r < 2:
+        raise ValueError("cleanup needs r >= 2")
     rng = random.Random(seed) if seed is not None else None
-    needed_rs = {b.r for b in family.books} | {r}
     n = g.n
-    full = (1 << n) - 1
-
-    cur = cleanup_edges(g, r)
+    cliques_by_r = {r: clique_mask_list(g, r)}
+    cur = _edge_cover(n, cliques_by_r[r])
+    for rr in {b.r for b in family.books} - {r}:
+        cliques_by_r[rr] = clique_mask_list(cur, rr)
     history: list[int] = []
     examined = 0
 
     while True:
-        cliques_by_r = {rr: clique_mask_list(cur, rr) for rr in needed_rs}
         target = cliques_by_r[r]
         history.append(len(target))
         kcount = [0] * n
@@ -495,35 +543,25 @@ def symmetrize(
             rng.shuffle(singles)
         singles.sort(key=lambda uv: -(kcount[uv[1]] - kcount[uv[0]]))
 
-        chosen = None
+        books_ok: dict[int, bool] = {}
+        move = None
         for u, v in singles:
             examined += 1
-            cand = clone_move(cur, u, v)
-            if _clone_free(cand, v, (u,), family, cliques_by_r):
-                chosen = cand
+            cand = _clone_free(cur, v, (u,), family, cliques_by_r, books_ok)
+            if cand is not None:
+                move = cand, v, (u,)
                 break
 
-        if chosen is None:
-            pair_k: dict[tuple[int, int], int] = {}
-            for c in target:
-                members = list(_bits(c))
-                for i, a in enumerate(members):
-                    for b in members[i + 1 :]:
-                        pair_k[(a, b)] = pair_k.get((a, b), 0) + 1
+        if move is None:
+            pair_k = Counter(ab for c in target for ab in combinations(_bits(c), 2))
             triples = []
             for y in range(n):
-                nonnbrs = full & ~cur.adj[y] & ~(1 << y)
-                others = list(_bits(nonnbrs))
+                others = list(_bits(((1 << n) - 1) & ~cur.adj[y] & ~(1 << y)))
                 for i, x in enumerate(others):
                     for z in others[i + 1 :]:
                         if not (cur.adj[x] >> z) & 1:
                             continue  # paired move only pays off across an edge
-                        gain = (
-                            2 * kcount[y]
-                            - kcount[x]
-                            - kcount[z]
-                            + pair_k.get((x, z), 0)
-                        )
+                        gain = 2 * kcount[y] - kcount[x] - kcount[z] + pair_k[(x, z)]
                         if gain > 0:
                             triples.append((y, x, z, gain))
             # the sort below is total, so this shuffle never changes the pick;
@@ -533,26 +571,18 @@ def symmetrize(
             triples.sort(key=lambda t: (-t[3], t[0], t[1], t[2]))
             for y, x, z, gain in triples:
                 examined += 1
-                cand = clone_move(clone_move(cur, z, y), x, y)
-                if _clone_free(cand, y, (x, z), family, cliques_by_r):
-                    chosen = cand
+                cand = _clone_free(cur, y, (x, z), family, cliques_by_r, books_ok)
+                if cand is not None:
+                    move = cand, y, (x, z)
                     break
 
-        if chosen is None:
+        if move is None:
             break
-        cur = cleanup_edges(chosen, r)
+        cur = _carry(*move, r, cliques_by_r)
 
-    return SearchReport(
-        n=n,
-        r=r,
-        family=family,
-        maximum=history[-1],
-        witnesses=(canonical_form(cur),),
-        examined=examined,
-        engine="hill-climb",
-        exhaustive=False,
-        history=tuple(history),
-    )
+    witnesses = (canonical_form(cur),)
+    return SearchReport(n, r, family, history[-1], witnesses, examined, "hill-climb", False,
+                        tuple(history))
 
 
 # ---------------------------------------------------------------------------

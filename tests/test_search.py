@@ -19,9 +19,11 @@ from booklab.graphs import (
     complete_graph,
     count_cliques,
     cycle_graph,
+    disjoint_union,
     empty_graph,
     enumerate_clique_masks,
     from_edges,
+    has_clique,
     join,
     turan_graph,
 )
@@ -439,6 +441,34 @@ def test_cleanup_edges_examples():
     assert cleanup_edges(g, 4) == g
 
 
+def _per_edge_cleanup(g, r):
+    """The cleanup rule before edge covers: drop each edge uv with no
+    (r-2)-clique in the common neighbourhood of u and v."""
+    rows = list(g.adj)
+    for u, v in g.edges():
+        if not has_clique(g, r - 2, within=g.adj[u] & g.adj[v]):
+            rows[u] &= ~(1 << v)
+            rows[v] &= ~(1 << u)
+    return Graph(g.n, tuple(rows))
+
+
+@given(graphs(max_n=8), st.integers(min_value=2, max_value=5))
+@settings(max_examples=200)
+def test_cleanup_edges_matches_the_per_edge_rule(g, r):
+    assert cleanup_edges(g, r) == _per_edge_cleanup(g, r)
+
+
+def test_cleanup_edges_is_bounded_by_the_clique_budget(monkeypatch):
+    g = complete_graph(6)
+    monkeypatch.setattr("booklab.graphs.CLIQUE_BUDGET", 19)
+    with pytest.raises(ResourceLimitError):
+        cleanup_edges(g, 3)  # K6 has 20 triangles
+    monkeypatch.setattr("booklab.graphs.CLIQUE_BUDGET", 20)
+    assert cleanup_edges(g, 3) == g
+    with pytest.raises(ValueError):
+        cleanup_edges(g, 1)
+
+
 @given(graphs(max_n=7), st.integers(min_value=2, max_value=4))
 def test_cleanup_preserves_count_and_is_minimal(g, r):
     out = cleanup_edges(g, r)
@@ -492,29 +522,93 @@ CLONE_PATTERNS = {
 }
 
 
+def _clones(g):
+    """Every single and every paired clone of g as (src, targets, graph):
+    src over one or two of its non-neighbours, whether or not the climb
+    would try the move."""
+    for v in range(g.n):
+        others = [u for u in range(g.n) if u != v and not g.has_edge(u, v)]
+        for u in others:
+            yield v, (u,), clone_move(g, u, v)
+        for x, z in itertools.combinations(others, 2):
+            yield v, (x, z), clone_move(clone_move(g, z, v), x, v)
+
+
+CLONE_BOOKS = [
+    (), (BookSpec(3, 1),), (BookSpec(3, 0),), (BookSpec(3, 2),), (BookSpec(4, 1),),
+    (BookSpec(4, 2),), (BookSpec(4, 3),), (BookSpec(5, 2),),
+]
+
+
 @given(
     st.sampled_from(sorted(CLONE_PATTERNS)),
-    st.sampled_from([(), (BookSpec(3, 1),), (BookSpec(3, 0),)]),
+    st.sampled_from(CLONE_BOOKS),
     st.integers(min_value=3, max_value=8),
     st.floats(min_value=0.3, max_value=0.9),
     st.integers(min_value=0, max_value=10**6),
 )
 @settings(max_examples=120)
 def test_clone_free_matches_is_free(name, books, n, p, seed):
-    # every single clone and every paired clone over two non-neighbours of
-    # the source, whether or not the climb would try it
     family = ForbiddenFamily(books, (CLONE_PATTERNS[name],))
     g = random_free_graph(n, family, random.Random(seed), p)
     cliques_by_r = {b.r: clique_mask_list(g, b.r) for b in books}
-    for v in range(n):
-        others = [u for u in range(n) if u != v and not g.has_edge(u, v)]
-        for u in others:
-            cand = clone_move(g, u, v)
-            assert search._clone_free(cand, v, (u,), family, cliques_by_r) == is_free(cand, family)
-        for x, z in itertools.combinations(others, 2):
-            cand = clone_move(clone_move(g, z, v), x, v)
-            got = search._clone_free(cand, v, (x, z), family, cliques_by_r)
-            assert got == is_free(cand, family)
+    books_ok = {}
+    for src, targets, cand in _clones(g):
+        got = search._clone_free(g, src, targets, family, cliques_by_r, books_ok)
+        assert (got is not None) == is_free(cand, family)
+        assert got is None or got == cand
+
+
+@given(
+    st.integers(min_value=2, max_value=5).flatmap(
+        lambda r: st.tuples(st.just(r), st.integers(min_value=0, max_value=r - 1))
+    ),
+    st.integers(min_value=3, max_value=9),
+    st.floats(min_value=0.3, max_value=0.95),
+    st.integers(min_value=0, max_value=10**6),
+)
+@settings(max_examples=150)
+def test_clones_keep_books_matches_is_free(rs, n, p, seed):
+    # the link lemma: on a book-free graph, whether a clone stays free
+    # depends on its source only
+    family = ForbiddenFamily((BookSpec(*rs),))
+    g = random_free_graph(n, family, random.Random(seed), p)
+    cliques_by_r = {rs[0]: clique_mask_list(g, rs[0])}
+    for src, targets, cand in _clones(g):
+        assert search._clones_keep_books(src, family.books, cliques_by_r) == is_free(cand, family)
+
+
+@given(graphs(max_n=9), st.integers(min_value=2, max_value=5))
+@settings(max_examples=40)
+def test_carried_lists_are_the_lists_of_the_clone(g, r):
+    # paired moves are rare in climbs, so every move is driven here; the
+    # sizes cover lists below, at and above r
+    sizes = range(1, r + 2)
+    lists = {rr: clique_mask_list(g, rr) for rr in sizes}
+    for src, targets, cand in _clones(g):
+        for rr in sizes:
+            carried = search._cloned_cliques(lists[rr], src, targets)
+            assert sorted(carried) == sorted(clique_mask_list(cand, rr))
+        carried = dict(lists)
+        cur = search._carry(cand, src, targets, r, carried)
+        assert cur == cleanup_edges(cand, r)
+        for rr in sizes:
+            assert sorted(carried[rr]) == sorted(clique_mask_list(cur, rr))
+
+
+def test_carried_lists_meet_the_budget_after_cleanup(monkeypatch):
+    # cloning 4 over 0 kills the K4 {0,1,2,3}, and cleanup then drops the
+    # triangle {1,2,3}: the carried triangles go from 8 to 7, so a budget
+    # of 7 passes and one of 6 refuses
+    g = disjoint_union(complete_graph(4), complete_graph(4))
+    cand = clone_move(g, 0, 4)
+    passing, refused = ({rr: clique_mask_list(g, rr) for rr in (4, 3)} for _ in range(2))
+    monkeypatch.setattr("booklab.graphs.CLIQUE_BUDGET", 7)
+    assert search._carry(cand, 4, (0,), 4, passing) == cleanup_edges(cand, 4)
+    assert len(passing[3]) == 7
+    monkeypatch.setattr("booklab.graphs.CLIQUE_BUDGET", 6)
+    with pytest.raises(ResourceLimitError):
+        search._carry(cand, 4, (0,), 4, refused)
 
 
 # ---------------------------------------------------------------------------
@@ -586,6 +680,81 @@ def test_every_clone_move_of_a_climb_changes_the_count_by_k_v_minus_k_u(monkeypa
         for seed in range(6):
             symmetrize(random_free_graph(n, family, random.Random(seed)), r, family, seed=seed)
     assert calls
+
+
+LEMMA_KEY_40 = (
+    "0000000000000000000000000000000000000000001fffffffffbffff9ffffc7ffff0ffffe0ffffe07ffff01"
+    "ffffc03ffff803ffff801ffffc007ffff000ffffe000ffffe0007ffff0001ffffc0003ffff80003ffff80001"
+    "fffffffffffffffffff0"
+)
+
+
+def test_symmetrize_keeps_its_outputs():
+    # (family, r, n, start seed, p, climb seed) -> (maximum, history, examined,
+    # witness key), recorded when every move was built and checked, and the
+    # clique lists were made afresh at each step
+    recorded = {
+        ("B(4,1),H1,K(5)", 4, 40, 1, 0.5, 1): (361, (
+            3, 4, 6, 8, 11, 14, 18, 22, 27, 32, 38, 44, 51, 58, 66, 74, 83, 92, 102, 112, 123,
+            134, 146, 158, 171, 184, 198, 212, 227, 242, 258, 273, 290, 306, 324, 342, 361,
+        ), 1284, LEMMA_KEY_40),
+        ("B(4,1),H1,K(5)", 4, 40, 2, 0.5, 2): (361, (
+            3, 5, 7, 10, 13, 17, 21, 26, 31, 37, 43, 50, 57, 65, 73, 82, 91, 101, 111, 122, 133,
+            145, 157, 170, 183, 197, 211, 226, 241, 257, 273, 290, 306, 324, 342, 361,
+        ), 1225, LEMMA_KEY_40),
+        ("B(3,1)", 4, 16, 16001, 0.5, 16001): (1, (1,), 48, "000000000000000000000020018007"),
+        ("B(5,2),B(3,1)", 4, 16, 16001, 0.5, 16001): (
+            1, (1,), 48, "000000000000000000000020018007"
+        ),
+        ("B(5,3),B(3,0)", 4, 10, 10002, 0.8, 2): (7, (1, 2, 3, 4, 5, 6, 7), 51, "000007fffff8"),
+        ("B(5,2)", 4, 19, 19002, 0.8, 2): (
+            500, (69, 95, 120, 152, 182, 217, 250, 291, 316, 344, 400, 475, 500), 40,
+            "003ff7cf8f87ffffbff3ff1ff87ffffffefffe7fff00",
+        ),
+    }
+    for (spec, r, n, start, p, seed), want in recorded.items():
+        family = parse_family(spec)
+        rep = symmetrize(random_free_graph(n, family, random.Random(start), p), r, family, seed=seed)
+        assert (rep.maximum, rep.history, rep.examined, rep.witnesses[0].key.hex()) == want, spec
+
+
+class _CountingRandom(random.Random):
+    """Counts its shuffles: the climb shuffles once or twice per step."""
+
+    shuffles = 0
+
+    def shuffle(self, x):
+        _CountingRandom.shuffles += 1
+        super().shuffle(x)
+
+
+@pytest.mark.parametrize("spec, n, start, p, seed, refusals", [
+    # budget -> shuffles made before the refusal (None: the climb finishes);
+    # each budget holds up to the next one, recorded with the lists made
+    # afresh at each step. Triangles bind the first climb, K4s the second.
+    ("B(5,3),B(3,0)", 10, 10002, 0.8, 2,
+     {0: 0, 6: 1, 7: 2, 10: 3, 13: 4, 16: 5, 19: 6, 22: None}),
+    ("B(5,2)", 16, 16004, 0.5, 4,
+     {0: 0, 1: 1, 2: 2, 4: 3, 8: 4, 16: 5, 24: 6, 36: 7, 54: 8, 81: 9, 108: 10, 144: 11,
+      192: 12, 256: None}),
+])
+def test_symmetrize_refuses_at_the_step_whose_lists_pass_the_budget(
+    monkeypatch, spec, n, start, p, seed, refusals
+):
+    family = parse_family(spec)
+    g = random_free_graph(n, family, random.Random(start), p)
+    monkeypatch.setattr(search, "random", SimpleNamespace(Random=_CountingRandom))
+    bounds = sorted(refusals)
+    for lo, hi in zip(bounds, bounds[1:] + [bounds[-1] + 1]):
+        for budget in {lo, hi - 1}:
+            monkeypatch.setattr("booklab.graphs.CLIQUE_BUDGET", budget)
+            _CountingRandom.shuffles = 0
+            if refusals[lo] is None:
+                symmetrize(g, 4, family, seed=seed)
+                continue
+            with pytest.raises(ResourceLimitError):
+                symmetrize(g, 4, family, seed=seed)
+            assert _CountingRandom.shuffles == refusals[lo], budget
 
 
 def test_random_free_graph_is_free():
