@@ -294,14 +294,14 @@ def _masks_from(adj: tuple[int, ...], chosen: int, cand: int, need: int) -> Iter
         yield from _masks_from(adj, chosen | low, cand & adj[low.bit_length() - 1], need - 1)
 
 
-def enumerate_clique_masks(g: Graph, r: int, within: int | None = None) -> Iterator[int]:
+def enumerate_clique_masks(g: Graph, r: int) -> Iterator[int]:
     """Yield every r-clique as a bit mask, lexicographically by sorted members.
 
     Lazy, so a caller that wants only the first clique pays for no more.
     """
     if r < 0:
         raise ValueError("clique size must be >= 0")
-    yield from _masks_from(g.adj, 0, (1 << g.n) - 1 if within is None else within, r)
+    yield from _masks_from(g.adj, 0, (1 << g.n) - 1, r)
 
 
 def enumerate_cliques(g: Graph, r: int) -> Iterator[VertexSet]:
@@ -310,24 +310,9 @@ def enumerate_cliques(g: Graph, r: int) -> Iterator[VertexSet]:
         yield VertexSet(mask)
 
 
-def _has_from(adj: tuple[int, ...], cand: int, need: int) -> bool:
-    if need == 1:
-        return cand != 0
-    while cand:
-        if cand.bit_count() < need:
-            return False
-        low = cand & -cand
-        cand ^= low
-        if _has_from(adj, cand & adj[low.bit_length() - 1], need - 1):
-            return True
-    return False
-
-
-def has_clique(g: Graph, r: int, within: int | None = None) -> bool:
-    """Existence test with early exit; `within` restricts the candidate set."""
-    if r <= 0:
-        return r == 0
-    return _has_from(g.adj, (1 << g.n) - 1 if within is None else within, r)
+def has_clique(g: Graph, r: int) -> bool:
+    """Existence test: stops at the first clique `enumerate_clique_masks` yields."""
+    return r >= 0 and next(enumerate_clique_masks(g, r), None) is not None
 
 
 def clique_number(g: Graph) -> int:

@@ -43,10 +43,8 @@ from .graphs import (
     count_cliques,
     disjoint_union,
     empty_graph,
-    enumerate_clique_masks,
     from_edges,
     from_mask,
-    has_clique,
 )
 # not called here: perfbench/test_perfbench.py reads booklab.search.find_subgraph
 # to check that its tracer rebinds a name imported from graphs
@@ -146,6 +144,8 @@ def brute_force_labeled(
     jobs: int = 1,
 ) -> SearchReport:
     """Sweep all 2^C(n,2) labeled graphs.  Exponential; capped at n <= 7 by default."""
+    if r < 1:
+        raise ValueError("clique size must be >= 1")
     cap = LABELED_DEFAULT_CAP if cap is None else cap
     if n > cap:
         raise ResourceLimitError(
@@ -182,11 +182,21 @@ def _overlap_hit(news: list[int], olds: list[int], s: int) -> bool:
     return False
 
 
+def _clique_lists(parent: Graph, family: ForbiddenFamily, *sizes: int) -> dict[int, list[int]]:
+    """The cliques of parent that `_free_child` reads, one list per size:
+    m - 1 for each K(m), r - 1 and r for each book, and the given sizes."""
+    wanted = {*sizes, *(m - 1 for m in family.complete_sizes)}
+    for spec in family.books:
+        wanted |= {spec.r - 1, spec.r}
+    return {rr: clique_mask_list(parent, rr) for rr in wanted}
+
+
 def _free_child(
-    parent: Graph, parent_cliques: dict[int, list[int]], smask: int, family: ForbiddenFamily
+    parent: Graph, lists: dict[int, list[int]], smask: int, family: ForbiddenFamily
 ) -> Graph | None:
     """parent plus one vertex joined to smask, or None when that child is
-    not free; only structures through the new vertex are checked.
+    not free; only structures through the new vertex are checked, against
+    the parent's `_clique_lists`.
 
     The parent is free and every edge added touches the new vertex, so any
     violating book pair or pattern embedding must involve it.  A new K_m
@@ -195,12 +205,12 @@ def _free_child(
     """
     k = parent.n
     for m in family.complete_sizes:
-        if has_clique(parent, m - 1, within=smask):
+        if any(c & smask == c for c in lists[m - 1]):
             return None
     newbit = 1 << k
     for spec in family.books:
-        news = [c | newbit for c in enumerate_clique_masks(parent, spec.r - 1, within=smask)]
-        if news and _overlap_hit(news, parent_cliques[spec.r], spec.s):
+        news = [c | newbit for c in lists[spec.r - 1] if c & smask == c]
+        if news and _overlap_hit(news, lists[spec.r], spec.s):
             return None
     rows = [row | newbit if (smask >> i) & 1 else row for i, row in enumerate(parent.adj)]
     child = Graph(k + 1, (*rows, smask))
@@ -222,9 +232,9 @@ def _canonical_shard(args):
     for parent in parents:
         if deadline is not None and time.monotonic() > deadline:
             break
-        parent_cliques = {rr: clique_mask_list(parent, rr) for rr in {b.r for b in family.books}}
+        lists = _clique_lists(parent, family)
         for smask in subset_orbit_reps(parent):
-            child = _free_child(parent, parent_cliques, smask, family)
+            child = _free_child(parent, lists, smask, family)
             if child is not None:
                 found.add(canonical_form(child))
         extended += 1
@@ -279,7 +289,8 @@ def _last_level_maxima(parents: list[CanonicalForm], r: int, family: ForbiddenFa
     descending order of that bound, down to the first one below the best
     free child found; within a parent the orbit representatives of S are
     tested for freeness in descending score, down to the best.  Only the
-    children at the best score need canonicalizing.
+    children at the best score need canonicalizing.  Each parent's
+    `_clique_lists`, made once, give both its scores and its child checks.
 
     A child with no r-clique cannot change the report, which then names the
     edgeless graph, so only positive counts are sought.  Returns (best,
@@ -290,25 +301,25 @@ def _last_level_maxima(parents: list[CanonicalForm], r: int, family: ForbiddenFa
     scored = []
     for cf in parents:
         p = cf.to_graph()
-        base, lower = count_cliques(p, r), clique_mask_list(p, r - 1)
-        scored.append((base + len(lower), base, lower, p))
+        lists = _clique_lists(p, family, r - 1, r)
+        base = len(lists[r])
+        scored.append((base + len(lists[r - 1]), base, lists, p))
     scored.sort(key=lambda t: -t[0])  # stable, so ties keep the level's key order
     best, winners, visited = -1, [], 0
-    for bound, base, lower, p in scored:
+    for bound, base, lists, p in scored:
         if bound < max(best, 1):
             break
         if deadline is not None and time.monotonic() > deadline:
             return best, winners, visited, False
         visited += 1
-        reps = subset_orbit_reps(p)
+        reps, lower = subset_orbit_reps(p), lists[r - 1]
         candidates = sorted(
             ((base + sum(c & s == c for c in lower), s) for s in reps), reverse=True
         )
-        parent_cliques = {rr: clique_mask_list(p, rr) for rr in {b.r for b in family.books}}
         for score, s in candidates:
             if score < max(best, 1):
                 break
-            child = _free_child(p, parent_cliques, s, family)
+            child = _free_child(p, lists, s, family)
             if child is not None:
                 if score > best:
                     best, winners = score, []
@@ -394,13 +405,16 @@ def exact_ex(
 # ---------------------------------------------------------------------------
 # local search
 
-def _edge_cover(n: int, cliques: list[int]) -> Graph:
-    """The edges inside the cliques: row v is the OR of those through v, minus v."""
+def _edge_cover(n: int, cliques: list[int]) -> tuple[Graph, list[int]]:
+    """The edges inside the cliques, row v the OR of those through v minus
+    v, and how many of the cliques hold each vertex."""
     rows = [0] * n
+    held = [0] * n
     for c in cliques:
         for v in _bits(c):
             rows[v] |= c
-    return Graph(n, tuple(row & ~(1 << v) for v, row in enumerate(rows)))
+            held[v] += 1
+    return Graph(n, tuple(row & ~(1 << v) for v, row in enumerate(rows))), held
 
 
 def cleanup_edges(g: Graph, r: int) -> Graph:
@@ -409,7 +423,7 @@ def cleanup_edges(g: Graph, r: int) -> Graph:
     listing the r-cliques is bounded by CLIQUE_BUDGET."""
     if r < 2:
         raise ValueError("cleanup needs r >= 2")
-    return _edge_cover(g.n, clique_mask_list(g, r))
+    return _edge_cover(g.n, clique_mask_list(g, r))[0]
 
 
 def clone_move(g: Graph, u: int, v: int) -> Graph:
@@ -483,20 +497,23 @@ def _cloned_cliques(cl: list[int], src: int, targets: tuple[int, ...]) -> list[i
     return [c for c in cl if not c & tmask] + [c | (1 << t) for t in targets for c in moved]
 
 
-def _carry(cand: Graph, src: int, targets: tuple[int, ...], r: int, cliques_by_r) -> Graph:
-    """cand, the clone of src over targets, cleaned up; cliques_by_r goes
-    from the lists before the move to those of the result.  Cleanup keeps
-    the edges of the r-cliques, so only smaller cliques can lose one.  Each
-    list meets CLIQUE_BUDGET once final, as a list made afresh would."""
+def _carry(
+    cand: Graph, src: int, targets: tuple[int, ...], r: int, cliques_by_r
+) -> tuple[Graph, list[int]]:
+    """cand, the clone of src over targets, cleaned up, and how many
+    r-cliques hold each vertex; cliques_by_r goes from the lists before the
+    move to those of the result.  Cleanup keeps the edges of the r-cliques,
+    so only smaller cliques can lose one.  Each list meets CLIQUE_BUDGET
+    once final, as a list made afresh would."""
     for rr, cl in cliques_by_r.items():
         cliques_by_r[rr] = _cloned_cliques(cl, src, targets)
-    cur = _edge_cover(cand.n, cliques_by_r[r])
+    cur, kcount = _edge_cover(cand.n, cliques_by_r[r])
     adj = cur.adj
     for rr, cl in cliques_by_r.items():
         if rr < r and adj != cand.adj:
             cl = cliques_by_r[rr] = [c for c in cl if all(c & ~adj[v] == 1 << v for v in _bits(c))]
         _check_clique_count(len(cl), rr)
-    return cur
+    return cur, kcount
 
 
 def symmetrize(
@@ -519,7 +536,7 @@ def symmetrize(
     rng = random.Random(seed) if seed is not None else None
     n = g.n
     cliques_by_r = {r: clique_mask_list(g, r)}
-    cur = _edge_cover(n, cliques_by_r[r])
+    cur, kcount = _edge_cover(n, cliques_by_r[r])
     for rr in {b.r for b in family.books} - {r}:
         cliques_by_r[rr] = clique_mask_list(cur, rr)
     history: list[int] = []
@@ -528,10 +545,6 @@ def symmetrize(
     while True:
         target = cliques_by_r[r]
         history.append(len(target))
-        kcount = [0] * n
-        for c in target:
-            for v in _bits(c):
-                kcount[v] += 1
 
         singles = [
             (u, v)
@@ -578,7 +591,7 @@ def symmetrize(
 
         if move is None:
             break
-        cur = _carry(*move, r, cliques_by_r)
+        cur, kcount = _carry(*move, r, cliques_by_r)
 
     witnesses = (canonical_form(cur),)
     return SearchReport(n, r, family, history[-1], witnesses, examined, "hill-climb", False,

@@ -121,16 +121,6 @@ def test_has_clique_agrees_with_count(g, r):
     assert has_clique(g, r) == (count_cliques(g, r) > 0)
 
 
-@given(graphs(min_n=2, max_n=7))
-def test_has_clique_within_restricts(g):
-    within = (1 << (g.n // 2)) - 1
-    sub = from_edges(
-        g.n, [(a, b) for a, b in g.edges() if within >> a & 1 and within >> b & 1]
-    )
-    for r in range(4):
-        assert has_clique(g, r, within=within) == has_clique(sub, r)
-
-
 def test_clique_number_examples():
     assert clique_number(empty_graph(5)) == 1
     assert clique_number(complete_graph(6)) == 6

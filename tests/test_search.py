@@ -23,7 +23,6 @@ from booklab.graphs import (
     empty_graph,
     enumerate_clique_masks,
     from_edges,
-    has_clique,
     join,
     turan_graph,
 )
@@ -96,6 +95,12 @@ def test_exact_ex_validates():
         exact_ex(4, 0, BOWTIE_FREE)
     with pytest.raises(ValueError):
         exact_ex(4, 3, BOWTIE_FREE, engine="magic")
+
+
+@pytest.mark.parametrize("engine", [brute_force_labeled, canonical_generation, exact_ex])
+def test_every_engine_rejects_clique_size_zero(engine):
+    with pytest.raises(ValueError, match="clique size must be >= 1"):
+        engine(3, 0, BOWTIE_FREE)
 
 
 def test_exact_ex_degenerate_cases():
@@ -295,6 +300,63 @@ def test_generation_examines_every_candidate_at_n8():
     clear_generation_cache()
 
 
+def test_generation_keeps_its_outputs():
+    # (family, r) -> (maximum, examined, witness keys) at n = 8, recorded
+    # when the child check listed the cliques inside each S afresh
+    recorded = {
+        ("B(4,1),H1,K(5)", 4): (9, 135_419, ("1fb9fff0",)),
+        ("B(3,1)", 3): (8, 58_587, ("2de10c30", "2de32d30", "2e22e470", "2e6b9f80", "319b2cd0")),
+        ("B(4,2)", 4): (6, 133_019, ("2e6b9ff0", "325aeff0", "84f07ff0", "e0463ff0")),
+        ("B(3,0),K(4)", 3): (12, 74_859, ("03fde7f0",)),
+    }
+    for (spec, r), want in recorded.items():
+        for jobs in (1, 2):
+            clear_generation_cache()
+            rep = exact_ex(8, r, parse_family(spec), jobs=jobs)
+            got = (rep.maximum, rep.examined, tuple(w.key.hex() for w in rep.witnesses))
+            assert rep.exhaustive and got == want, (spec, jobs)
+    clear_generation_cache()
+
+
+CHILD_FAMILIES = {
+    name: parse_family(name)
+    for name in ("K(1)", "K(2)", "K(4)", "B(2,0)", "B(2,1)", "B(3,1)", "B(4,2)", "H1",
+                 "B(4,1),H1,K(5)")
+}
+
+
+def _free_parent(g, family):
+    """g made free by the full check: each first violation loses its first
+    edge, or the last vertex goes when it has none (K(1) forbids every
+    vertex)."""
+    while (span := first_violation(g, family)) is not None:
+        edges = list(g.edges())
+        inside = [e for e in edges if span >> e[0] & 1 and span >> e[1] & 1]
+        if inside:
+            g = from_edges(g.n, [e for e in edges if e != inside[0]])
+        else:
+            g = from_edges(g.n - 1, [e for e in edges if e[1] < g.n - 1])
+    return g
+
+
+@pytest.mark.parametrize("name", sorted(CHILD_FAMILIES))
+@given(graphs(max_n=7))
+@settings(max_examples=25)
+def test_free_child_matches_is_free(name, g):
+    # every neighbourhood S of a free parent, not one per orbit: the child
+    # check returns P + S exactly when the full check finds P + S free
+    family = CHILD_FAMILIES[name]
+    parent = _free_parent(g, family)
+    k = parent.n
+    edges = list(parent.edges())
+    lists = search._clique_lists(parent, family)
+    for smask in range(1 << k):
+        child = from_edges(k + 1, edges + [(i, k) for i in _bits(smask)])
+        got = search._free_child(parent, lists, smask, family)
+        assert (got is not None) == is_free(child, family), smask
+        assert got is None or got == child
+
+
 @functools.lru_cache(maxsize=None)
 def all_subsets_levels(family, n):
     """Levels 0..n built the way generation worked before orbit reduction:
@@ -446,7 +508,8 @@ def _per_edge_cleanup(g, r):
     (r-2)-clique in the common neighbourhood of u and v."""
     rows = list(g.adj)
     for u, v in g.edges():
-        if not has_clique(g, r - 2, within=g.adj[u] & g.adj[v]):
+        common = g.adj[u] & g.adj[v]
+        if not any(c & common == c for c in enumerate_clique_masks(g, r - 2)):
             rows[u] &= ~(1 << v)
             rows[v] &= ~(1 << u)
     return Graph(g.n, tuple(rows))
@@ -590,8 +653,9 @@ def test_carried_lists_are_the_lists_of_the_clone(g, r):
             carried = search._cloned_cliques(lists[rr], src, targets)
             assert sorted(carried) == sorted(clique_mask_list(cand, rr))
         carried = dict(lists)
-        cur = search._carry(cand, src, targets, r, carried)
+        cur, held = search._carry(cand, src, targets, r, carried)
         assert cur == cleanup_edges(cand, r)
+        assert held == [_vertex_clique_count(cand, r, v) for v in range(cand.n)]
         for rr in sizes:
             assert sorted(carried[rr]) == sorted(clique_mask_list(cur, rr))
 
@@ -604,7 +668,7 @@ def test_carried_lists_meet_the_budget_after_cleanup(monkeypatch):
     cand = clone_move(g, 0, 4)
     passing, refused = ({rr: clique_mask_list(g, rr) for rr in (4, 3)} for _ in range(2))
     monkeypatch.setattr("booklab.graphs.CLIQUE_BUDGET", 7)
-    assert search._carry(cand, 4, (0,), 4, passing) == cleanup_edges(cand, 4)
+    assert search._carry(cand, 4, (0,), 4, passing)[0] == cleanup_edges(cand, 4)
     assert len(passing[3]) == 7
     monkeypatch.setattr("booklab.graphs.CLIQUE_BUDGET", 6)
     with pytest.raises(ResourceLimitError):
