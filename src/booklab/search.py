@@ -8,11 +8,12 @@ canonical form.  Pruning is sound because freeness is closed under taking
 subgraphs, so every free graph arises from a free parent.  Each parent is
 extended by one neighbourhood per orbit of its automorphism group on vertex
 subsets, using the generators the canonical search records: isomorphic
-children are equally free and share one class.  Only the levels below n are
-generated and cached: the maxima on n vertices come from one bound pass
-over the parents on n - 1 vertices, which scores each child by the
-(r-1)-cliques its new vertex sees, checks freeness only where the score can
-still win and canonicalizes only the winners.
+children are equally free and share one class; only children whose new
+vertex has least degree are canonicalized (McKay's canonical deletion, step
+one).  Only the levels below n are generated and cached: the maxima on n
+vertices come from one bound pass over the parents on n - 1 vertices, which
+scores each child by the (r-1)-cliques its new vertex sees, checks freeness
+only where the score can still win and canonicalizes only the winners.
 
 The hill climber repeatedly clones one vertex's neighborhood onto another
 (count changes by k_r(target) - k_r(source)); when no single clone improves
@@ -224,7 +225,12 @@ def _canonical_shard(args):
     A parent is extended by one neighbourhood mask per orbit of its
     automorphism group on subsets: the children from S and sigma(S) are
     isomorphic, and freeness does not change under isomorphism, so the
-    classes found are those of all 2^k extensions.
+    classes found are those of all 2^k extensions.  A child is kept only
+    when its new vertex has least degree (ties kept): with d the parent's
+    least degree, |S| <= d, or |S| = d + 1 and S holds every vertex of
+    degree d.  No class is lost: deleting a least-degree vertex u of C
+    leaves a free parent, whose representative S for u's neighbourhood
+    gives C back with the new vertex in u's place.
     """
     parents, family, deadline = args
     found: set[CanonicalForm] = set()
@@ -233,7 +239,13 @@ def _canonical_shard(args):
         if deadline is not None and time.monotonic() > deadline:
             break
         lists = _clique_lists(parent, family)
+        deg = [row.bit_count() for row in parent.adj]
+        least = min(deg, default=0)
+        least_mask = sum(1 << u for u, d in enumerate(deg) if d == least)
         for smask in subset_orbit_reps(parent):
+            size = smask.bit_count()
+            if size > least and (size > least + 1 or least_mask & ~smask):
+                continue
             child = _free_child(parent, lists, smask, family)
             if child is not None:
                 found.add(canonical_form(child))
@@ -289,8 +301,9 @@ def _last_level_maxima(parents: list[CanonicalForm], r: int, family: ForbiddenFa
     descending order of that bound, down to the first one below the best
     free child found; within a parent the orbit representatives of S are
     tested for freeness in descending score, down to the best.  Only the
-    children at the best score need canonicalizing.  Each parent's
-    `_clique_lists`, made once, give both its scores and its child checks.
+    children at the best score need canonicalizing.  A parent's
+    `_clique_lists` are made only when it is visited, for its scores and
+    child checks.
 
     A child with no r-clique cannot change the report, which then names the
     edgeless graph, so only positive counts are sought.  Returns (best,
@@ -301,17 +314,17 @@ def _last_level_maxima(parents: list[CanonicalForm], r: int, family: ForbiddenFa
     scored = []
     for cf in parents:
         p = cf.to_graph()
-        lists = _clique_lists(p, family, r - 1, r)
-        base = len(lists[r])
-        scored.append((base + len(lists[r - 1]), base, lists, p))
+        base = len(clique_mask_list(p, r))
+        scored.append((base + len(clique_mask_list(p, r - 1)), base, p))
     scored.sort(key=lambda t: -t[0])  # stable, so ties keep the level's key order
     best, winners, visited = -1, [], 0
-    for bound, base, lists, p in scored:
+    for bound, base, p in scored:
         if bound < max(best, 1):
             break
         if deadline is not None and time.monotonic() > deadline:
             return best, winners, visited, False
         visited += 1
+        lists = _clique_lists(p, family, r - 1)
         reps, lower = subset_orbit_reps(p), lists[r - 1]
         candidates = sorted(
             ((base + sum(c & s == c for c in lower), s) for s in reps), reverse=True

@@ -67,17 +67,25 @@ def test_criterion_1_optional_n9():
 
 
 @pytest.mark.slow
-def test_pure_book_b41_at_n9_is_the_clique_join():
-    # ex(9, K4, B(4,1)) = 21 = 4n - 15, attained only by K4 joined to five
-    # independent vertices; it beats floor((n-2)^2/4) = 12
+@pytest.mark.parametrize(
+    "n, key, level_below, budget_s",
+    [(9, "003ffffff0", 11_487, 30.0), (10, "0001fffffff8", 230_460, 90.0)],
+)
+def test_pure_book_b41_is_the_clique_join(n, key, level_below, budget_s):
+    # ex(n, K4, B(4,1)) = 4n - 15 at n = 9 and 10, attained only by K4 joined
+    # to n - 4 independent vertices; it beats floor((n-2)^2/4) = 12 and 16.
+    # The run builds and caches level n - 1 in full
+    family = parse_family("B(4,1)")
     clear_generation_cache()
     t0 = time.perf_counter()
-    rep = exact_ex(9, 4, parse_family("B(4,1)"))
+    rep = exact_ex(n, 4, family)
     elapsed = time.perf_counter() - t0
+    levels = search._GEN_CACHE[family]
     clear_generation_cache()
-    witness = canonical_form(join(complete_graph(4), empty_graph(5)))
-    assert rep.exhaustive and rep.maximum == 21 and rep.witnesses == (witness,)
-    assert elapsed < 30.0, f"{elapsed:.1f}s (< 30s)"
+    witness = canonical_form(join(complete_graph(4), empty_graph(n - 4)))
+    assert rep.exhaustive and rep.maximum == 4 * n - 15 and rep.witnesses == (witness,)
+    assert witness.key.hex() == key and len(levels) == n and len(levels[n - 1]) == level_below
+    assert elapsed < budget_s, f"{elapsed:.1f}s (< {budget_s:.0f}s)"
 
 
 def test_criterion_2_quarter_square_series():

@@ -237,6 +237,7 @@ def test_generation_cache_holds_one_family():
 # n = 8 run examines (1, 1, 2, 4, 11 are the graphs on n <= 4, all free)
 LEVEL_COUNTS = {
     "B(3,1)": ([1, 1, 2, 4, 11, 28, 98, 400], 58_587),
+    "B(4,1)": ([1, 1, 2, 4, 11, 34, 156, 1018], 141_595),
     "B(4,1),H1,K(5)": ([1, 1, 2, 4, 11, 33, 150, 973], 135_419),
 }
 
@@ -291,6 +292,25 @@ def test_level_counts_are_the_counts_of_graphs(name):
 def test_level_8_counts_are_the_counts_of_graphs(name, count):
     spec, counts = KNOWN_LEVEL_COUNTS[name]
     assert _level_counts(spec, 8) == counts + [count]
+
+
+def test_generation_canonicalizes_only_least_degree_children(monkeypatch):
+    # with levels 0..6 cached, building level 7 canonicalizes only the free
+    # children whose new vertex has least degree: 1,327 of them, against
+    # 4,837 when every free child of every orbit representative was
+    clear_generation_cache()
+    search._generation_levels(LEMMA_FAMILY, 6, None, 1)
+    calls = []
+
+    def counting(g):
+        calls.append(g.n)
+        return canonical_form(g)
+
+    monkeypatch.setattr(search, "canonical_form", counting)
+    levels, _, completed = search._generation_levels(LEMMA_FAMILY, 7, None, 1)
+    assert completed and len(levels[7]) == LEVEL_COUNTS["B(4,1),H1,K(5)"][0][7]
+    assert len(calls) == 1_327 and set(calls) == {7}
+    clear_generation_cache()
 
 
 def test_generation_examines_every_candidate_at_n8():
