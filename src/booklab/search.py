@@ -28,7 +28,6 @@ import os
 import random
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -39,6 +38,7 @@ from .graphs import (
     _bits,
     _check_clique_count,
     _embed,
+    _masks_from,
     clique_mask_list,
     contains_subgraph_at,
     count_cliques,
@@ -101,11 +101,14 @@ def _finish_witnesses(
 def _run_shards(fn, items, jobs, *args):
     """Map fn over at most `jobs` contiguous chunks of items, each passed as
     (chunk, *args); a process pool, of at most one worker per CPU, is used
-    only for more than one chunk."""
+    only for more than one chunk, and its modules are imported only then,
+    so a run that does not shard never loads `multiprocessing`."""
     step = max(1, -(-len(items) // max(1, jobs)))
     shards = [(items[lo : lo + step], *args) for lo in range(0, len(items), step)]
     if len(shards) <= 1:
         return list(map(fn, shards))
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(len(shards), os.cpu_count() or 1)) as pool:
         return list(pool.map(fn, shards))
 
@@ -633,16 +636,25 @@ def random_free_graph(n: int, family: ForbiddenFamily, rng: random.Random, p: fl
     Each step deletes an edge inside the first violation of
     `patterns.first_violation`.  The repair runs that rule one check of
     `family.checks` at a time, each until it is clean: deleting an edge
-    creates no violation, so a clean check stays clean.  A book lists its
-    cliques once and resumes one `patterns.BookScan` at the row of its last
-    hit after each deletion, which drops exactly the cliques holding both
-    ends of the edge.
+    creates no violation, so a clean check stays clean.  A K(m) size
+    resumes its clique search at the least vertex of its last hit: an
+    m-clique left with a lesser least vertex was there before the deletion
+    and would have come first.  A book lists its cliques once and resumes
+    one `patterns.BookScan` at the row of its last hit after each deletion,
+    which drops exactly the cliques holding both ends of the edge.
     """
     for pat in family.patterns:
         if pat.edge_count() == 0:
             raise ValueError("family forbids an edgeless pattern; no repair can succeed")
     g = from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+    full = (1 << n) - 1
     for check in family.checks:
+        if isinstance(check, int):
+            floor = full
+            while (span := next(_masks_from(g.adj, 0, floor, check), None)) is not None:
+                g = _delete_inside(g, span, rng)[0]
+                floor = full & -(span & -span)
+            continue
         if not isinstance(check, BookSpec):
             while (span := violation_span(g, check)) is not None:
                 g = _delete_inside(g, span, rng)[0]

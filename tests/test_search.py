@@ -2,6 +2,8 @@ import functools
 import itertools
 import os
 import random
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -501,7 +503,8 @@ def test_process_pool_is_capped_at_the_cpu_count(monkeypatch):
             return map(fn, items)
 
     serial = brute_force_labeled(6, 3, BOWTIE_FREE)
-    monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)
+    # _run_shards imports the pool when it shards, so the stub replaces it at its source
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     wide = brute_force_labeled(6, 3, BOWTIE_FREE, jobs=64)
     assert sizes == [min(64, os.cpu_count() or 1)]
     monkeypatch.setattr(search.os, "cpu_count", lambda: None)
@@ -510,6 +513,16 @@ def test_process_pool_is_capped_at_the_cpu_count(monkeypatch):
     assert (wide.maximum, wide.witnesses, wide.examined, wide.exhaustive) == (
         serial.maximum, serial.witnesses, serial.examined, serial.exhaustive
     )
+
+
+def test_import_loads_no_process_pool():
+    # only a run that shards imports the pool and multiprocessing behind it
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(search.__file__)))
+    code = ("import sys, booklab, booklab.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -882,11 +895,12 @@ def _per_step_repair(n, family, rng, p):
 @pytest.mark.parametrize("spec", [
     "B(2,0)", "B(2,1)", "B(3,0)", "B(3,1)", "B(4,1)", "B(4,2)",
     "B(3,1),B(4,2)", "B(4,1),H1,K(5)", "K(5),K(4),H1",
+    "K(3)", "K(4)", "K(3),K(5)", "K(6),H2",
 ])
 def test_random_free_graph_matches_the_per_step_repair(spec):
     family = parse_family(spec)
     for n in range(5, 21):
-        for k, p in enumerate((0.3, 0.5, 0.7, 0.9)):
+        for k, p in enumerate((0.3, 0.5, 0.7, 0.9, 0.95)):
             for seed in (8 * n + 2 * k, 8 * n + 2 * k + 1):
                 got = random_free_graph(n, family, random.Random(seed), p)
                 want = _per_step_repair(n, family, random.Random(seed), p)
@@ -907,6 +921,18 @@ def test_random_free_graph_keeps_its_outputs_at_n_38():
     }
     for (spec, seed), g6 in recorded.items():
         assert graph6_encode(random_free_graph(38, parse_family(spec), random.Random(seed))) == g6
+
+
+def test_random_free_graph_keeps_its_lemma_outputs_at_n_40():
+    # recorded before the K(m) stage resumed at its last clique's least vertex
+    recorded = {
+        1: "gg@AW?AGc`_V@GRQa?CEU@YAktG__yWD?OOgbT@ICDgHEA`ER?fGajIS_HJeo@AJcQAJA{GBkCh_"
+           "AeDaBKGBh?qGCcp_OUgzKO?AoOq?`oA[IoOHK}?DW`_@W@MwBI?cCKL",
+        2: "gDDOPbJB?EKA_Ml`a??YC?x??ppJHKACE@AS_J?D?ScQSccXAAPQO@QmA@_OUP?gZgG[IATGiRAD@`"
+           "Ks|G?EK@@]pCeUH??ORQpDAcAXv`aFUfAcCCQm_gEoTcP?QYbXogg",
+    }
+    for seed, g6 in recorded.items():
+        assert graph6_encode(random_free_graph(40, LEMMA_FAMILY, random.Random(seed))) == g6
 
 
 def test_random_free_graph_refuses_past_the_clique_budget(monkeypatch):
