@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from . import canonical  # a cycle: canonical imports this module, and booklab loads it first
 from .errors import ResourceLimitError
@@ -282,7 +282,7 @@ def count_cliques(g: Graph, r: int) -> int:
     return _count_from(g.adj, size, reps, r)
 
 
-def _masks_from(adj: tuple[int, ...], chosen: int, cand: int, need: int) -> Iterator[int]:
+def _masks_from(adj: Sequence[int], chosen: int, cand: int, need: int) -> Iterator[int]:
     if need == 0:
         yield chosen
         return

@@ -14,7 +14,6 @@ from .canonical import canonical_form
 from .graphs import (
     Graph,
     VertexSet,
-    _bits,
     clique_mask_list,
     complete_graph,
     enumerate_clique_masks,
@@ -107,7 +106,10 @@ class BookScan:
     `masks` lists the cliques inside `within` lexicographically; a dropped
     clique keeps its row as 0, so every other clique keeps its index.
     cols[v] is the bitset of live cliques holding v, clique i at bit
-    top - i: the cliques after row i are the low bits.  Raises
+    top - i: the cliques after row i are the low bits.  cols stays None
+    until `first` meets a clean row or an edge is dropped: before that,
+    `first` probes each row against the later cliques directly, as a
+    graph that holds a book usually shows it in row 0.  Raises
     ResourceLimitError past `graphs.CLIQUE_BUDGET`.
 
     By default (`within` and `singles` every vertex) a hit is a pair sharing
@@ -128,22 +130,44 @@ class BookScan:
         self.singles = (1 << g.n) - 1 if singles is None else singles
         self.top = len(masks) - 1
         self.live = (1 << len(masks)) - 1
-        self.cols = cols = [0] * g.n
-        for k, c in enumerate(reversed(masks)):
+        self.n = g.n
+        self.cols: list[int] | None = None
+
+    def _columns(self) -> list[int]:
+        self.cols = cols = [0] * self.n
+        for k, c in enumerate(reversed(self.masks)):
             bit = 1 << k
             while c:
                 low = c & -c
                 cols[low.bit_length() - 1] |= bit
                 c ^= low
+        return cols
 
     def first(self, start: int = 0) -> tuple[int, int] | None:
         """The first hit (i, j) with i >= start: the least i, then the least
         j; (i, i) when row i is a hit by itself, which needs at most s
         single members and so never happens by default."""
-        cols, top, s, singles = self.cols, self.top, self.s, self.singles
+        masks, top, s, singles = self.masks, self.top, self.s, self.singles
+        end = len(masks)
+        if self.cols is None:
+            # no edge is dropped yet, so every row is live: probe rows
+            # directly, and build the columns at the first clean one
+            for i in range(start, end):
+                ci = masks[i]
+                if (ci & singles).bit_count() <= s:
+                    return i, i
+                for j in range(i + 1, end):
+                    x = ci & masks[j]
+                    if x.bit_count() >= s and (x & singles).bit_count() <= s:
+                        return i, j
+                start = i + 1
+                self._columns()
+                break
+        cols = self.cols
         steps = range(s + 1, 0, -1)
         rest = [0] * (s + 1)
-        for i, ci in enumerate(self.masks[start:], start):
+        for i in range(start, end):
+            ci = masks[i]
             if not ci:
                 continue
             one = ci & singles
@@ -178,15 +202,22 @@ class BookScan:
     def drop_edge(self, u: int, v: int) -> None:
         """Drop the cliques holding both u and v, as deleting edge uv does.
         Valid only on a default scan: deleting an edge splits twin classes."""
-        masks, cols, top = self.masks, self.cols, self.top
+        masks, top = self.masks, self.top
+        cols = self._columns() if self.cols is None else self.cols
         dead = cols[u] & cols[v]
         self.live ^= dead
         members = 0
-        for k in _bits(dead):
-            members |= masks[top - k]
-            masks[top - k] = 0
-        for w in _bits(members):
-            cols[w] &= ~dead
+        rest = dead
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            k = top + 1 - low.bit_length()
+            members |= masks[k]
+            masks[k] = 0
+        while members:
+            low = members & -members
+            members ^= low
+            cols[low.bit_length() - 1] &= ~dead
 
 
 def book_violation(g: Graph, spec: BookSpec) -> CliqueWitness | None:

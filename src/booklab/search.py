@@ -617,16 +617,24 @@ def symmetrize(
 # ---------------------------------------------------------------------------
 # seeded starting points for climb experiments
 
-def _delete_inside(g: Graph, span: int, rng: random.Random) -> tuple[Graph, int, int]:
-    """Delete one edge among the vertices of span, drawn by rng.choice from
-    those edges in lexicographic order; returns the graph and the edge."""
-    members = list(_bits(span))
-    inside = [(u, v) for i, u in enumerate(members) for v in members[i + 1 :] if g.has_edge(u, v)]
+def _delete_inside(rows: list[int], span: int, rng: random.Random) -> tuple[int, int]:
+    """Delete from rows, in place, one edge among the vertices of span,
+    drawn by rng.choice from those edges in lexicographic order; returns
+    the edge."""
+    inside = []
+    while span:
+        low = span & -span
+        span ^= low
+        u = low.bit_length() - 1
+        later = rows[u] & span
+        while later:
+            low = later & -later
+            later ^= low
+            inside.append((u, low.bit_length() - 1))
     u, v = rng.choice(inside)
-    rows = list(g.adj)
     rows[u] &= ~(1 << v)
     rows[v] &= ~(1 << u)
-    return Graph(g.n, tuple(rows)), u, v
+    return u, v
 
 
 def random_free_graph(n: int, family: ForbiddenFamily, rng: random.Random, p: float = 0.5) -> Graph:
@@ -636,29 +644,32 @@ def random_free_graph(n: int, family: ForbiddenFamily, rng: random.Random, p: fl
     Each step deletes an edge inside the first violation of
     `patterns.first_violation`.  The repair runs that rule one check of
     `family.checks` at a time, each until it is clean: deleting an edge
-    creates no violation, so a clean check stays clean.  A K(m) size
-    resumes its clique search at the least vertex of its last hit: an
-    m-clique left with a lesser least vertex was there before the deletion
-    and would have come first.  A book lists its cliques once and resumes
-    one `patterns.BookScan` at the row of its last hit after each deletion,
+    creates no violation, so a clean check stays clean.  Every stage
+    deletes in place on one row list.  A K(m) size resumes its clique
+    search at the least vertex of its last hit: an m-clique left with a
+    lesser least vertex was there before the deletion and would have come
+    first.  A book lists its cliques once and resumes one
+    `patterns.BookScan` at the row of its last hit after each deletion,
     which drops exactly the cliques holding both ends of the edge.
     """
     for pat in family.patterns:
         if pat.edge_count() == 0:
             raise ValueError("family forbids an edgeless pattern; no repair can succeed")
-    g = from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+    rows = list(from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                               if rng.random() < p]).adj)
     full = (1 << n) - 1
     for check in family.checks:
         if isinstance(check, int):
             floor = full
-            while (span := next(_masks_from(g.adj, 0, floor, check), None)) is not None:
-                g = _delete_inside(g, span, rng)[0]
+            while (span := next(_masks_from(rows, 0, floor, check), None)) is not None:
+                _delete_inside(rows, span, rng)
                 floor = full & -(span & -span)
             continue
         if not isinstance(check, BookSpec):
-            while (span := violation_span(g, check)) is not None:
-                g = _delete_inside(g, span, rng)[0]
+            while (span := violation_span(Graph(n, tuple(rows)), check)) is not None:
+                _delete_inside(rows, span, rng)
             continue
+        g = Graph(n, tuple(rows))
         # the book check perfbench traces (book.calls); a clean book stops here
         if book_violation(g, check) is None:
             continue
@@ -666,7 +677,6 @@ def random_free_graph(n: int, family: ForbiddenFamily, rng: random.Random, p: fl
         hit = scan.first()
         while hit is not None:
             i, j = hit
-            g, u, v = _delete_inside(g, scan.masks[i] | scan.masks[j], rng)
-            scan.drop_edge(u, v)
+            scan.drop_edge(*_delete_inside(rows, scan.masks[i] | scan.masks[j], rng))
             hit = scan.first(i)
-    return g
+    return Graph(n, tuple(rows))

@@ -312,26 +312,43 @@ def test_book_scan_matches_row_major_double_loop(n, p):
                 assert _scan_pair(host, spec) == _row_major_first_pair(host, spec)
 
 
-def _column_scan_pair(g, spec):
+def _column_scan_pair(g, spec, start=0, within=None, singles=None):
     """The column scan book_violation ran before the row-major kernel: one
     pass over j keeps, per vertex, the bitset of earlier cliques holding it,
-    and after a hit (i, j') only a pair with a smaller i can come earlier."""
-    masks = clique_mask_list(g, spec.r)
+    and after a hit (i, j') only a pair with a smaller i can come earlier.
+
+    It builds every column up front, the eager reference for BookScan's
+    lazy ones.  Rows before `start` take no part.  With `within` and
+    `singles` it finds the hits of the BookScan lemma on the twin quotient:
+    pairs with at least s shared members and at most s shared single ones,
+    and rows (j, j) with at most s single members."""
+    masks = clique_mask_list(g, spec.r, within)
     s = spec.s
+    singles = (1 << g.n) - 1 if singles is None else singles
     cols = [0] * g.n
     hit = None
     for j, cj in enumerate(masks):
-        at = [(1 << (j if hit is None else hit[0])) - 1] + [0] * (s + 1)
-        for v in _bits(cj):
-            col = cols[v]
+        if j < start:
+            continue
+        below = j if hit is None else hit[0]
+        at = [(1 << below) - (1 << start)] + [0] * (s + 1)
+        one = cj & singles
+        for v in _bits(one):
             for t in range(s + 1, 0, -1):
-                at[t] |= at[t - 1] & col
-            cols[v] = col | (1 << j)
-        exact = at[s] & ~at[s + 1]
+                at[t] |= at[t - 1] & cols[v]
+        many = at[s + 1]
+        for v in _bits(cj ^ one):
+            for t in range(s + 1, 0, -1):
+                at[t] |= at[t - 1] & cols[v]
+        for v in _bits(cj):
+            cols[v] |= 1 << j
+        exact = at[s] & ~many
         if exact:
             hit = ((exact & -exact).bit_length() - 1, j)
-            if hit[0] == 0:
-                break
+        elif hit is None and one.bit_count() <= s:
+            hit = (j, j)
+        if hit is not None and hit[0] == start:
+            break
     return None if hit is None else (masks[hit[0]], masks[hit[1]])
 
 
@@ -345,6 +362,61 @@ def test_book_violation_matches_the_column_scan(g):
         assert _scan_pair(g, spec) == _column_scan_pair(g, spec)
         for host in _joins(g, spec.s):
             assert _scan_pair(host, spec) == _column_scan_pair(host, spec)
+
+
+def _scan_from(g, spec, start, within=None, singles=None):
+    scan = BookScan(g, spec, within, singles)
+    hit = scan.first(start)
+    return scan, None if hit is None else (scan.masks[hit[0]], scan.masks[hit[1]])
+
+
+def _check_lazy_scan(g, spec, data, within=None, singles=None):
+    """A fresh scan's first() and first(k) for a drawn k > 0 give the eager
+    column scan's pair, and so does first(k) after first() built or skipped
+    the columns."""
+    scan, got = _scan_from(g, spec, 0, within, singles)
+    assert got == _column_scan_pair(g, spec, 0, within, singles)
+    k = data.draw(st.integers(1, len(scan.masks) + 1), label="k")
+    want = _column_scan_pair(g, spec, k, within, singles)
+    assert _scan_from(g, spec, k, within, singles)[1] == want
+    hit = scan.first(k)
+    assert (None if hit is None else (scan.masks[hit[0]], scan.masks[hit[1]])) == want
+
+
+@given(graphs(max_n=9), st.data())
+@settings(max_examples=100)
+def test_lazy_columns_give_the_eager_scan_pair(g, data):
+    for spec in _ALL_SPECS:
+        _check_lazy_scan(g, spec, data)
+        for host in _joins(g, spec.s):
+            _check_lazy_scan(host, spec, data)
+
+
+@given(twin_blowups(), st.data())
+@settings(max_examples=100)
+def test_lazy_columns_give_the_eager_scan_pair_on_twin_quotients(g, data):
+    reps, size = twin_classes(g)
+    singles = reps if size is None else sum(1 << v for v, k in enumerate(size) if k == 1)
+    for spec in _ALL_SPECS:
+        _check_lazy_scan(g, spec, data)
+        _check_lazy_scan(g, spec, data, reps, singles)
+
+
+def test_a_book_in_row_zero_is_found_without_columns():
+    # K1 ∨ T_6(39): 74,088 seven-cliques, and row 0 meets a later one in vertex 0 alone
+    g = join(complete_graph(1), turan_graph(39, 6))
+    spec = BookSpec(7, 1)
+    scan = BookScan(g, spec)
+    assert scan.first()[0] == 0
+    assert scan.cols is None
+    w = book_violation(g, spec)
+    assert (w.first.bits, w.second.bits) == (127, 8065)
+    # a clean row builds the columns, and so does a deleted edge
+    clean = BookScan(book_extremal(12, 4, 1), BookSpec(4, 1))
+    assert clean.first() is None and clean.cols is not None
+    small = BookScan(complete_graph(6), BookSpec(3, 1))
+    small.drop_edge(0, 1)
+    assert small.cols is not None
 
 
 @given(twin_blowups())
