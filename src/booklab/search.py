@@ -29,6 +29,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .canonical import CanonicalForm, canonical_form, nonedge_orbit_reps, subset_orbit_reps
@@ -481,6 +482,45 @@ def _clones_keep_books(src: int, books, cliques_by_r) -> bool:
     return True
 
 
+def _merged(p: Graph, merge: int) -> Graph:
+    """p with the independent vertex set `merge` identified to one vertex."""
+    label, k = [], 0
+    for v in range(p.n):
+        if merge >> v & 1 and merge & ((1 << v) - 1):
+            label.append(label[(merge & -merge).bit_length() - 1])
+        else:
+            label.append(k)
+            k += 1
+    return from_edges(k, ((label[u], label[w]) for u, w in p.edges()))
+
+
+@lru_cache(maxsize=256)
+def _clone_pins(family: ForbiddenFamily, k: int) -> tuple[tuple[Graph, int, int], ...]:
+    """The two-pin checks (p, a, b) of a clone over k targets: one per
+    orbit of p's non-edges, less those whose merge cannot be free.
+
+    In a new copy of p the vertices I landing on the twin class (src and
+    the targets) are independent, at least two, and at most k + 1.  Merging
+    I onto src maps p/I into the clone minus the targets, inside the free
+    pre-move graph, so p/I is free.  A pin (a, b) is kept when some
+    independent I holding a and b, of at most k + 1 vertices, has p/I free.
+    """
+    pins = []
+    for p in family.noncomplete:
+        for a, b in nonedge_orbit_reps(p):
+            ab = 1 << a | 1 << b
+            rest = [c for c in range(p.n) if not (ab | p.adj[a] | p.adj[b]) >> c & 1]
+            merges = (
+                ab | sum(1 << c for c in extra)
+                for size in range(k)
+                for extra in combinations(rest, size)
+                if not any(p.has_edge(c, d) for c, d in combinations(extra, 2))
+            )
+            if any(is_free(_merged(p, merge), family) for merge in merges):
+                pins.append((p, a, b))
+    return tuple(pins)
+
+
 def _clone_free(cur, src, targets, family, cliques_by_r, books_ok):
     """cur with src cloned over each target (non-neighbours of src), or None
     when that is not free; books_ok memoises `_clones_keep_books` for cur.
@@ -489,7 +529,7 @@ def _clone_free(cur, src, targets, family, cliques_by_r, books_ok):
     the targets are pairwise non-adjacent twins in the clone, which minus
     the targets lies in the free cur, so a new pattern copy covers two
     twins; swaps move them onto src and targets[0], and one two-pin
-    embedding per orbit of the pattern's non-edges decides it.
+    embedding per `_clone_pins` check decides it.
     """
     if src not in books_ok:
         books_ok[src] = _clones_keep_books(src, family.books, cliques_by_r)
@@ -498,10 +538,9 @@ def _clone_free(cur, src, targets, family, cliques_by_r, books_ok):
     cand = cur
     for t in targets:
         cand = clone_move(cand, t, src)
-    for p in family.noncomplete:
-        for a, b in nonedge_orbit_reps(p):
-            if _embed(cand, p, ((a, src), (b, targets[0]))) is not None:
-                return None
+    for p, a, b in _clone_pins(family, len(targets)):
+        if _embed(cand, p, ((a, src), (b, targets[0]))) is not None:
+            return None
     return cand
 
 
@@ -514,16 +553,27 @@ def _cloned_cliques(cl: list[int], src: int, targets: tuple[int, ...]) -> list[i
 
 
 def _carry(
-    cand: Graph, src: int, targets: tuple[int, ...], r: int, cliques_by_r
+    cand: Graph, src: int, targets: tuple[int, ...], r: int, cliques_by_r, kcount: list[int]
 ) -> tuple[Graph, list[int]]:
-    """cand, the clone of src over targets, cleaned up, and how many
-    r-cliques hold each vertex; cliques_by_r goes from the lists before the
-    move to those of the result.  Cleanup keeps the edges of the r-cliques,
-    so only smaller cliques can lose one.  Each list meets CLIQUE_BUDGET
-    once final, as a list made afresh would."""
+    """cand, the clone of src over targets from the clean graph whose
+    r-cliques hold kcount[v] through each v, cleaned up, and the counts
+    of the result; cliques_by_r goes from the lists before the move to
+    those of the result.  Cleanup keeps the edges of the r-cliques, so
+    only smaller cliques can lose one.  When no target is in an r-clique,
+    the targets were isolated: no clique is lost, the copies cover the
+    targets' new edges, and cand is already clean.  Each list meets
+    CLIQUE_BUDGET once final, as a list made afresh would."""
+    kept = len(cliques_by_r[r])
     for rr, cl in cliques_by_r.items():
         cliques_by_r[rr] = _cloned_cliques(cl, src, targets)
-    cur, kcount = _edge_cover(cand.n, cliques_by_r[r])
+    if any(kcount[t] for t in targets):
+        cur, kcount = _edge_cover(cand.n, cliques_by_r[r])
+    else:
+        # the r-list is the old one followed by the copies
+        cur, kcount = cand, list(kcount)
+        for c in cliques_by_r[r][kept:]:
+            for v in _bits(c):
+                kcount[v] += 1
     adj = cur.adj
     for rr, cl in cliques_by_r.items():
         if rr < r and adj != cand.adj:
@@ -562,15 +612,24 @@ def symmetrize(
         target = cliques_by_r[r]
         history.append(len(target))
 
-        singles = [
-            (u, v)
-            for u in range(n)
-            for v in range(n)
-            if u != v and not (cur.adj[u] >> v) & 1 and kcount[v] > kcount[u]
-        ]
+        # above[k]: the vertices in more than k r-cliques
+        level: dict[int, int] = {}
+        for v, c in enumerate(kcount):
+            level[c] = level.get(c, 0) | 1 << v
+        above, more = {}, 0
+        for k in sorted(level, reverse=True):
+            above[k] = more
+            more |= level[k]
+        singles = []
+        for u, row in enumerate(cur.adj):
+            m = above[kcount[u]] & ~row
+            while m:
+                low = m & -m
+                singles.append((u, low.bit_length() - 1))
+                m ^= low
         if rng is not None:
             rng.shuffle(singles)
-        singles.sort(key=lambda uv: -(kcount[uv[1]] - kcount[uv[0]]))
+        singles.sort(key=lambda uv: kcount[uv[0]] - kcount[uv[1]])
 
         books_ok: dict[int, bool] = {}
         move = None
@@ -607,7 +666,7 @@ def symmetrize(
 
         if move is None:
             break
-        cur, kcount = _carry(*move, r, cliques_by_r)
+        cur, kcount = _carry(*move, r, cliques_by_r, kcount)
 
     witnesses = (canonical_form(cur),)
     return SearchReport(n, r, family, history[-1], witnesses, examined, "hill-climb", False,

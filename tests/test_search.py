@@ -7,7 +7,7 @@ import sys
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from booklab import search
@@ -637,22 +637,52 @@ CLONE_BOOKS = [
 
 
 @given(
-    st.sampled_from(sorted(CLONE_PATTERNS)),
-    st.sampled_from(CLONE_BOOKS),
-    st.integers(min_value=3, max_value=8),
-    st.floats(min_value=0.3, max_value=0.9),
+    st.one_of(
+        st.tuples(
+            st.builds(
+                lambda name, books: ForbiddenFamily(books, (CLONE_PATTERNS[name],)),
+                st.sampled_from(sorted(CLONE_PATTERNS)),
+                st.sampled_from(CLONE_BOOKS),
+            ),
+            st.integers(min_value=3, max_value=8),
+            st.floats(min_value=0.3, max_value=0.9),
+        ),
+        # a K(m) term makes some twin merges unfree, so `_clone_pins` drops
+        # their pins (every pin, for the last two); dense starts reach the
+        # pins that stay
+        st.tuples(
+            st.sampled_from(["B(4,1),H1,K(5)", "H1,K(5)", "H2,K(4)", "B(3,1),H1,H2,K(5)"]).map(
+                parse_family
+            ),
+            st.integers(min_value=7, max_value=10),
+            st.floats(min_value=0.8, max_value=0.95),
+        ),
+    ),
     st.integers(min_value=0, max_value=10**6),
 )
-@settings(max_examples=120)
-def test_clone_free_matches_is_free(name, books, n, p, seed):
-    family = ForbiddenFamily(books, (CLONE_PATTERNS[name],))
+@settings(max_examples=180)
+def test_clone_free_matches_is_free(case, seed):
+    family, n, p = case
     g = random_free_graph(n, family, random.Random(seed), p)
-    cliques_by_r = {b.r: clique_mask_list(g, b.r) for b in books}
+    cliques_by_r = {b.r: clique_mask_list(g, b.r) for b in family.books}
     books_ok = {}
     for src, targets, cand in _clones(g):
         got = search._clone_free(g, src, targets, family, cliques_by_r, books_ok)
         assert (got is not None) == is_free(cand, family)
         assert got is None or got == cand
+
+
+def test_clone_pins_drop_the_pins_whose_merge_is_not_free():
+    # merging H1's 0 and 4 closes a K5; merging 0 and 5 does not
+    h1 = h1_graph()
+    for k in (1, 2):
+        assert search._clone_pins(LEMMA_FAMILY, k) == ((h1, 0, 5),)
+        assert search._clone_pins(parse_family("H1"), k) == ((h1, 0, 4), (h1, 0, 5))
+        assert search._clone_pins(parse_family("H2,K(4)"), k) == ()
+    # every two-vertex merge of H1 holds a B(4,2), but merging 0, 4 and 6
+    # does not, so (0, 4) stays for paired clones only
+    assert search._clone_pins(parse_family("B(4,2),H1"), 1) == ()
+    assert search._clone_pins(parse_family("B(4,2),H1"), 2) == ((h1, 0, 4),)
 
 
 @given(
@@ -674,23 +704,35 @@ def test_clones_keep_books_matches_is_free(rs, n, p, seed):
         assert search._clones_keep_books(src, family.books, cliques_by_r) == is_free(cand, family)
 
 
-@given(graphs(max_n=9), st.integers(min_value=2, max_value=5))
-@settings(max_examples=40)
-def test_carried_lists_are_the_lists_of_the_clone(g, r):
-    # paired moves are rare in climbs, so every move is driven here; the
-    # sizes cover lists below, at and above r
-    sizes = range(1, r + 2)
-    lists = {rr: clique_mask_list(g, rr) for rr in sizes}
-    for src, targets, cand in _clones(g):
-        for rr in sizes:
-            carried = search._cloned_cliques(lists[rr], src, targets)
-            assert sorted(carried) == sorted(clique_mask_list(cand, rr))
-        carried = dict(lists)
-        cur, held = search._carry(cand, src, targets, r, carried)
-        assert cur == cleanup_edges(cand, r)
-        assert held == [_vertex_clique_count(cand, r, v) for v in range(cand.n)]
-        for rr in sizes:
-            assert sorted(carried[rr]) == sorted(clique_mask_list(cur, rr))
+def test_carried_lists_are_the_lists_of_the_clone():
+    # paired moves are rare in climbs, so every move is driven here, from
+    # a clean graph as in the climb; the sizes cover lists below, at and
+    # above r. A move whose targets hold no r-clique returns the clone
+    # itself, uncleaned; the run must reach that branch and the cleanup.
+    branches = set()
+
+    @given(graphs(max_n=9), st.integers(min_value=2, max_value=5))
+    @example(disjoint_union(complete_graph(3), empty_graph(1)), 3)
+    @settings(max_examples=40)
+    def carry_every_clone(g, r):
+        g = cleanup_edges(g, r)
+        kcount = [_vertex_clique_count(g, r, v) for v in range(g.n)]
+        sizes = range(1, r + 2)
+        lists = {rr: clique_mask_list(g, rr) for rr in sizes}
+        for src, targets, cand in _clones(g):
+            for rr in sizes:
+                carried = search._cloned_cliques(lists[rr], src, targets)
+                assert sorted(carried) == sorted(clique_mask_list(cand, rr))
+            carried = dict(lists)
+            cur, held = search._carry(cand, src, targets, r, carried, kcount)
+            branches.add(cur is cand)
+            assert cur == cleanup_edges(cand, r)
+            assert held == [_vertex_clique_count(cand, r, v) for v in range(cand.n)]
+            for rr in sizes:
+                assert sorted(carried[rr]) == sorted(clique_mask_list(cur, rr))
+
+    carry_every_clone()
+    assert branches == {True, False}
 
 
 def test_carried_lists_meet_the_budget_after_cleanup(monkeypatch):
@@ -698,14 +740,31 @@ def test_carried_lists_meet_the_budget_after_cleanup(monkeypatch):
     # triangle {1,2,3}: the carried triangles go from 8 to 7, so a budget
     # of 7 passes and one of 6 refuses
     g = disjoint_union(complete_graph(4), complete_graph(4))
+    kcount = [1] * 8
     cand = clone_move(g, 0, 4)
     passing, refused = ({rr: clique_mask_list(g, rr) for rr in (4, 3)} for _ in range(2))
     monkeypatch.setattr("booklab.graphs.CLIQUE_BUDGET", 7)
-    assert search._carry(cand, 4, (0,), 4, passing)[0] == cleanup_edges(cand, 4)
+    assert search._carry(cand, 4, (0,), 4, passing, kcount)[0] == cleanup_edges(cand, 4)
     assert len(passing[3]) == 7
     monkeypatch.setattr("booklab.graphs.CLIQUE_BUDGET", 6)
     with pytest.raises(ResourceLimitError):
-        search._carry(cand, 4, (0,), 4, refused)
+        search._carry(cand, 4, (0,), 4, refused, kcount)
+
+
+def test_carried_lists_meet_the_budget_when_no_clique_is_lost(monkeypatch):
+    # cloning 0 over the isolated 5 loses no clique and copies the four K4s
+    # through 0: the carried K4s go from 5 to 9, so a budget of 9 passes
+    # and one of 8 refuses
+    g = disjoint_union(complete_graph(5), empty_graph(1))
+    kcount = [4] * 5 + [0]
+    cand = clone_move(g, 5, 0)
+    passing, refused = ({4: clique_mask_list(g, 4)} for _ in range(2))
+    monkeypatch.setattr("booklab.graphs.CLIQUE_BUDGET", 9)
+    assert search._carry(cand, 0, (5,), 4, passing, kcount) == (cand, [4, 7, 7, 7, 7, 4])
+    assert len(passing[4]) == 9
+    monkeypatch.setattr("booklab.graphs.CLIQUE_BUDGET", 8)
+    with pytest.raises(ResourceLimitError):
+        search._carry(cand, 0, (5,), 4, refused, kcount)
 
 
 # ---------------------------------------------------------------------------
@@ -789,7 +848,8 @@ LEMMA_KEY_40 = (
 def test_symmetrize_keeps_its_outputs():
     # (family, r, n, start seed, p, climb seed) -> (maximum, history, examined,
     # witness key), recorded when every move was built and checked, and the
-    # clique lists were made afresh at each step
+    # clique lists were made afresh at each step; the last climb was recorded
+    # later, with every pin tried, and accepts one paired move
     recorded = {
         ("B(4,1),H1,K(5)", 4, 40, 1, 0.5, 1): (361, (
             3, 4, 6, 8, 11, 14, 18, 22, 27, 32, 38, 44, 51, 58, 66, 74, 83, 92, 102, 112, 123,
@@ -807,6 +867,9 @@ def test_symmetrize_keeps_its_outputs():
         ("B(5,2)", 4, 19, 19002, 0.8, 2): (
             500, (69, 95, 120, 152, 182, 217, 250, 291, 316, 344, 400, 475, 500), 40,
             "003ff7cf8f87ffffbff3ff1ff87ffffffefffe7fff00",
+        ),
+        ("B(4,1),H1,K(5)", 4, 12, 25, 0.8, 25): (
+            25, (4, 6, 8, 9, 12, 16, 20, 25), 102, "003ff7cf8f87ffffc0"
         ),
     }
     for (spec, r, n, start, p, seed), want in recorded.items():
