@@ -41,9 +41,6 @@ from .search import SearchReport, exact_ex, symmetrize
 
 SCHEMA = "booklab/1"
 
-#: largest n of tables 1.1 and 2.1, whose rows are exhaustive searches with no deadline
-TABLE_SEARCH_N_MAX = 9
-
 
 def _read_graph(spec: str) -> Graph:
     if spec == "-":
@@ -173,7 +170,6 @@ def _cmd_exact(args) -> int:
         args.r,
         family,
         engine=args.engine,
-        cap=args.cap,
         max_seconds=args.max_seconds,
         jobs=args.jobs,
     )
@@ -211,42 +207,35 @@ def _cmd_beta(args) -> int:
     return 0
 
 
-def _table_rows(theorem: str, n_min: int, n_max: int) -> list[dict]:
-    if theorem in ("1.1", "2.1") and n_max > TABLE_SEARCH_N_MAX:
-        raise ResourceLimitError(f"table {theorem} stops at n={TABLE_SEARCH_N_MAX}; "
-                                 f"for n={n_max} use `booklab exact --max-seconds`")
-    rows = []
+def _table_rows(theorem: str, n_min: int, n_max: int):
+    """Yield the rows of one table, each as soon as it is computed."""
     if theorem == "1.1":
         fam = parse_family("B(3,1)")
         for n in range(max(n_min, 1), n_max + 1):
             formula = k4_packing_count(n)
             computed = exact_ex(n, 3, fam).maximum
-            rows.append({"n": n, "formula": formula, "computed": computed,
-                         "match": formula == computed})
+            yield {"n": n, "formula": formula, "computed": computed, "match": formula == computed}
     elif theorem == "2.1":
         fam = parse_family("B(4,1),H1,K(5)")
         for n in range(max(n_min, 1), n_max + 1):
             formula = (n - 2) ** 2 // 4 if n >= 2 else 0
             computed = exact_ex(n, 4, fam).maximum
-            rows.append({"n": n, "formula": formula, "computed": computed,
-                         "match": formula == computed})
+            yield {"n": n, "formula": formula, "computed": computed, "match": formula == computed}
     elif theorem == "1.3-construction":
         for n in range(max(n_min, 4), n_max + 1):
             formula = (n - 2) ** 2 // 4
             computed = count_cliques(book_extremal(n, 4, 1), 4)
-            rows.append({"n": n, "formula": formula, "computed": computed,
-                         "match": formula == computed})
+            yield {"n": n, "formula": formula, "computed": computed, "match": formula == computed}
     elif theorem == "1.7-lower":
         for n in range(max(n_min, 6), n_max + 1):
             # bound n^2/12 - 2 compared in integers: count >= bound iff
             # 12*count >= n^2 - 24; the displayed bound is its ceiling
             bound_ceiling = -((24 - n * n) // 12)
             computed = b42_count(n)
-            rows.append({"n": n, "formula": bound_ceiling, "computed": computed,
-                         "match": 12 * computed >= n * n - 24})
+            yield {"n": n, "formula": bound_ceiling, "computed": computed,
+                   "match": 12 * computed >= n * n - 24}
     else:
         raise ValueError(f"unknown table {theorem!r}")
-    return rows
 
 
 def _cmd_table(args) -> int:
@@ -306,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-seconds", type=float, default=None,
                    help="soft deadline; on expiry a partial report with exhaustive=false")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--cap", type=int, default=None, help="override the engine vertex cap")
     p.set_defaults(func=_cmd_exact)
 
     p = sub.add_parser("climb", help="hill-climb the clique count by clone moves")

@@ -1,9 +1,9 @@
 """Shared exception types.
 
 Invalid parameters raise plain ValueError.  ResourceLimitError marks runs
-that hit an explicit budget (clique caps, engine vertex caps); the CLI maps
-the two to distinct exit codes so callers can tell "wrong input" from
-"too big to finish".
+that hit an explicit budget (the clique budget, the search work budget);
+the CLI maps the two to distinct exit codes so callers can tell "wrong
+input" from "too big to finish".
 """
 
 

@@ -16,10 +16,11 @@ scores each child by the (r-1)-cliques its new vertex sees, checks freeness
 only where the score can still win and canonicalizes only the winners.
 
 The hill climber repeatedly clones one vertex's neighborhood onto another
-(count changes by k_r(target) - k_r(source)); when no single clone improves
-it tries the paired clone that copies one vertex over both ends of an edge.
-Every accepted move is re-checked for family-freeness, so the climber works
-for any family even though its move accounting mirrors the two-clique case.
+(cloning the source over a target changes the count by k_r(source) -
+k_r(target)); when no single clone improves it tries the paired clone that
+copies one vertex over both ends of an edge.  `_clone_free` decides each
+move's freeness without `is_free`: books from the source's link, K(m) by
+its pull-back through the source, other patterns by `_clone_pins`.
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ from .graphs import (
 from .graphs import find_subgraph as find_subgraph
 from .patterns import BookScan, BookSpec, ForbiddenFamily, book_violation, is_free, violation_span
 
-LABELED_DEFAULT_CAP = 7
-CANONICAL_DEFAULT_CAP = 10
+#: Both engines refuse a run past this many candidate graphs (read at call time).
+WORK_BUDGET = 2**22
 
 
 @dataclass(frozen=True)
@@ -97,6 +98,15 @@ def _finish_witnesses(
         return SearchReport(n, r, family, 0, wit, examined, engine, exhaustive)
     witnesses = tuple(sorted(wit_keys, key=lambda cf: (cf.n, cf.key)))
     return SearchReport(n, r, family, best, witnesses, examined, engine, exhaustive)
+
+
+def _check_work(count: int, exp: int, what: str) -> None:
+    """Refuse count * 2^exp candidate graphs past WORK_BUDGET, comparing
+    the exponent first so that no integer of exp bits is built."""
+    if exp >= WORK_BUDGET.bit_length() or count << exp > WORK_BUDGET:
+        raise ResourceLimitError(
+            f"{what}: {count:,} x 2^{exp} candidate graphs exceed the work budget {WORK_BUDGET:,}"
+        )
 
 
 def _run_shards(fn, items, jobs, *args):
@@ -144,18 +154,14 @@ def brute_force_labeled(
     r: int,
     family: ForbiddenFamily,
     *,
-    cap: int | None = None,
     max_seconds: float | None = None,
     jobs: int = 1,
 ) -> SearchReport:
-    """Sweep all 2^C(n,2) labeled graphs.  Exponential; capped at n <= 7 by default."""
+    """Sweep all 2^C(n,2) labeled graphs.  Exponential: refused when
+    2^C(n,2) exceeds WORK_BUDGET, so it runs up to n = 7."""
     if r < 1:
         raise ValueError("clique size must be >= 1")
-    cap = LABELED_DEFAULT_CAP if cap is None else cap
-    if n > cap:
-        raise ResourceLimitError(
-            f"labeled sweep of n={n} exceeds the cap {cap}; pass a larger cap to force it"
-        )
+    _check_work(1, n * (n - 1) // 2, f"the labeled sweep at n={n}")
     engine = "labeled-brute-force"
     if n < r:
         return _finish_witnesses(n, r, family, 0, set(), 0, engine, True)
@@ -274,6 +280,11 @@ def _generation_levels(family: ForbiddenFamily, n: int, deadline, jobs: int):
     |levels[k]| * 2^k.  Only fully built levels are cached, so a deadline
     abort never poisons the cache; the level it cut short is returned after
     the cached ones, and examined counts only the parents extended for it.
+
+    Level k + 1 is built only when |levels[k]| * 2^(n-1) fits WORK_BUDGET:
+    the last build's candidates at k = n - 1, a lower bound on them below,
+    as an isolated vertex maps the free classes on k vertices one-to-one
+    into those on k + 1 (when no pattern has a vertex of degree 0).
     """
     if family not in _GEN_CACHE:
         # the cache holds one family's levels
@@ -283,6 +294,8 @@ def _generation_levels(family: ForbiddenFamily, n: int, deadline, jobs: int):
     levels = _GEN_CACHE[family]
     while len(levels) <= n:
         k = len(levels) - 1
+        _check_work(len(levels[k]), n - 1,
+                    f"building level {n} from at least level {k}'s {len(levels[k]):,} classes")
         parents = [cf.to_graph() for cf in levels[k]]
         sharded = jobs > 1 and len(parents) >= 4 * jobs and k >= 5
         results = _run_shards(_canonical_shard, parents, jobs if sharded else 1, family, deadline)
@@ -349,24 +362,21 @@ def canonical_generation(
     r: int,
     family: ForbiddenFamily,
     *,
-    cap: int | None = None,
     max_seconds: float | None = None,
     jobs: int = 1,
 ) -> SearchReport:
     """Isomorph-free exhaustive search; one representative per free class.
 
-    Levels 0..n-1 are generated (and cached); level n is never built, its
-    maxima come from one bound pass over the parents on n-1 vertices.
-    `examined` counts the 2^(n-1) candidate children of every parent, the
-    ones the bound skipped included.
+    Levels 0..n-1 are generated (and cached) within WORK_BUDGET; level n is
+    never built, its maxima come from one bound pass over the parents on n-1
+    vertices.  `examined` counts the 2^(n-1) candidate children of every
+    parent, the ones the bound skipped included.
     """
     if r < 1:
         raise ValueError("clique size must be >= 1")
-    cap = CANONICAL_DEFAULT_CAP if cap is None else cap
-    if n > cap:
-        raise ResourceLimitError(
-            f"canonical generation at n={n} exceeds the cap {cap}; pass a larger cap to force it"
-        )
+    # every build offers at least 2^(n-2) candidates; checked first, this also
+    # refuses n < r, whose edgeless witness's canonical search grows as n^3
+    _check_work(1, max(n - 2, 0), f"generation at n={n}")
     engine = "canonical-generation"
     if n < r:
         return _finish_witnesses(n, r, family, 0, set(), 0, engine, True)
@@ -398,7 +408,6 @@ def exact_ex(
     family: ForbiddenFamily,
     engine: str = "auto",
     *,
-    cap: int | None = None,
     max_seconds: float | None = None,
     jobs: int = 1,
 ) -> SearchReport:
@@ -413,9 +422,9 @@ def exact_ex(
     if r < 1:
         raise ValueError("clique size must be >= 1")
     if engine in ("auto", "canonical"):
-        return canonical_generation(n, r, family, cap=cap, max_seconds=max_seconds, jobs=jobs)
+        return canonical_generation(n, r, family, max_seconds=max_seconds, jobs=jobs)
     if engine == "labeled":
-        return brute_force_labeled(n, r, family, cap=cap, max_seconds=max_seconds, jobs=jobs)
+        return brute_force_labeled(n, r, family, max_seconds=max_seconds, jobs=jobs)
     raise ValueError(f"unknown engine {engine!r}")
 
 

@@ -1,12 +1,16 @@
+import argparse
 import json
+import re
 import time
+from pathlib import Path
 
 import pytest
 
-from booklab.cli import main
+from booklab.cli import build_parser, main
 from booklab.formats import graph6_decode, graph6_encode
 from booklab.graphs import complete_graph, count_cliques, disjoint_union, turan_graph
 from booklab.patterns import h1_graph
+from booklab.search import clear_generation_cache
 
 K6 = graph6_encode(complete_graph(6))
 
@@ -240,15 +244,28 @@ def test_table_csv(capsys):
     assert all(line.endswith("true") for line in out.strip().splitlines()[1:])
 
 
-@pytest.mark.parametrize("theorem", ["1.1", "2.1"])
-def test_search_tables_refuse_orders_past_their_bound(capsys, theorem):
+@pytest.mark.parametrize(
+    "theorem, last_n, level, classes", [("1.1", 7, 6, 98), ("2.1", 6, 5, 33)],
+    ids=["1.1", "2.1"],
+)
+def test_search_tables_refuse_orders_past_their_bound(
+    capsys, monkeypatch, theorem, last_n, level, classes
+):
+    # at a budget of 2^10, row n builds level n - 1 from level n - 2 at a
+    # cost of |level n - 2| x 2^(n-2): 98 x 2^6 refuses 1.1 at n = 8, and
+    # 33 x 2^5 refuses 2.1 at n = 7; the rows before stay on stdout
+    monkeypatch.setattr("booklab.search.WORK_BUDGET", 2**10)
+    clear_generation_cache()
     t0 = time.perf_counter()
     code = main(["table", "--theorem", theorem, "--n-max", "10"])
     captured = capsys.readouterr()
+    clear_generation_cache()
     assert code == 3
-    assert time.perf_counter() - t0 < 1.0
-    assert captured.out == ""
-    assert "booklab exact --max-seconds" in captured.err
+    assert time.perf_counter() - t0 < 2.0
+    rows = [json.loads(line) for line in captured.out.splitlines()]
+    assert [row["n"] for row in rows] == list(range(1, last_n + 1))
+    assert all(row["match"] for row in rows)
+    assert f"level {level}'s {classes} classes" in captured.err
 
 
 def test_table_11_answers_at_its_bound(capsys):
@@ -297,9 +314,44 @@ def test_missing_input_file_is_exit_2(capsys, tmp_path):
         assert f"no such input file: {spec}" in capsys.readouterr().err
 
 
+def test_huge_exact_orders_exit_3_at_once(capsys):
+    for engine in ("labeled", "canonical"):
+        t0 = time.perf_counter()
+        code = main(["exact", "--n", "1000000000", "--r", "3", "--engine", engine])
+        assert code == 3 and time.perf_counter() - t0 < 1.0
+        assert "exceed the work budget" in capsys.readouterr().err
+
+
 def test_usage_error_is_exit_2():
     # argparse handles malformed invocations itself
-    for argv in (["count", "--r", "3"], ["table", "--theorem", "9.9", "--n-max", "5"]):
+    for argv in (["count", "--r", "3"], ["table", "--theorem", "9.9", "--n-max", "5"],
+                 ["exact", "--n", "8", "--r", "3", "--cap", "12"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+def _readme_cli_commands():
+    """The `booklab` commands of README's CLI block, continuation lines joined."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line.startswith("booklab "):
+            commands.append(line)
+        elif line:
+            commands[-1] += " " + line
+    return commands
+
+
+def test_readme_cli_block_shows_only_options_the_parser_accepts():
+    (subparsers,) = [a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    commands = _readme_cli_commands()
+    assert len(commands) >= len(subparsers.choices)
+    for command in commands:
+        sub = command.split()[1]
+        accepted = subparsers.choices[sub]._option_string_actions
+        for option in re.findall(r"--[a-z][a-z-]*", command):
+            assert option in accepted, (command, option)

@@ -4,6 +4,8 @@ import os
 import random
 import subprocess
 import sys
+import time
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -113,11 +115,62 @@ def test_exact_ex_degenerate_cases():
     assert rep.maximum == 0 and rep.exhaustive
 
 
-def test_exact_ex_caps():
-    with pytest.raises(ResourceLimitError):
-        exact_ex(11, 3, BOWTIE_FREE, engine="canonical")
-    with pytest.raises(ResourceLimitError):
+def test_exact_ex_refuses_past_the_work_budget():
+    # the labeled sweep at n = 8 offers 2^28 graphs; generation at n = 13
+    # builds level 8 of B(3,1), then refuses: 2,290 classes times 2^11
+    # subsets exceed 2^22 before level 9 is built
+    with pytest.raises(ResourceLimitError, match=r"labeled sweep at n=8: 1 x 2\^28 "):
         exact_ex(8, 3, BOWTIE_FREE, engine="labeled")
+    clear_generation_cache()
+    with pytest.raises(ResourceLimitError, match=r"level 8's 2,290 classes: 2,290 x 2\^11 "):
+        exact_ex(13, 3, BOWTIE_FREE, engine="canonical")
+    assert len(search._GEN_CACHE[BOWTIE_FREE]) == 9  # levels 0..8
+    clear_generation_cache()
+
+
+def test_work_budget_fits_generation_to_n_10_and_the_labeled_sweep_to_n_7():
+    # no family's level 8 holds more than the A000088(8) = 12,346 graphs on 8
+    # vertices, so the last build of any run at n <= 10 offers at most
+    # 12,346 x 2^8 candidates; the labeled sweep offers 2^21 at n = 7, 2^28 at 8
+    assert 12_346 << 8 <= search.WORK_BUDGET
+    assert 1 << 21 <= search.WORK_BUDGET < 1 << 28
+
+
+@pytest.mark.parametrize("engine, n", [("labeled", 6), ("canonical", 9)])
+def test_a_lowered_work_budget_is_refused_fast_and_small(monkeypatch, engine, n):
+    # both runs fit the default budget; at 2^10 the sweep's 2^15 graphs are
+    # refused up front, and generation after level 4 of B(3,1) (11 x 2^7)
+    monkeypatch.setattr(search, "WORK_BUDGET", 2**10)
+    clear_generation_cache()
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="exceed the work budget 1,024"):
+        exact_ex(n, 3, BOWTIE_FREE, engine=engine)
+    elapsed = time.perf_counter() - t0
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    clear_generation_cache()
+    assert elapsed < 1.0 and peak < 1 << 20
+
+
+def test_cold_lemma_generation_at_11_is_refused_after_level_8():
+    # 10,939 classes on 8 vertices times 2^9 subsets exceed 2^22, so the run
+    # stops before level 9, whose build takes 25 s or more
+    clear_generation_cache()
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="level 8's 10,939 classes"):
+        exact_ex(11, 4, LEMMA_FAMILY)
+    assert time.perf_counter() - t0 < 5.0
+    clear_generation_cache()
+
+
+def test_triangle_free_generation_at_11_gives_mantel():
+    # level 9 holds 1,897 triangle-free classes: 1,897 x 2^9 fits the budget
+    clear_generation_cache()
+    rep = exact_ex(11, 2, parse_family("K(3)"))
+    clear_generation_cache()
+    assert rep.exhaustive and rep.maximum == 30
+    assert rep.witnesses == (canonical_form(turan_graph(11, 2)),)
 
 
 def test_triangle_book_series_prefix():
@@ -128,7 +181,8 @@ def test_triangle_book_series_prefix():
 
 def test_deadline_gives_partial_report():
     clear_generation_cache()
-    rep = exact_ex(14, 3, BOWTIE_FREE, engine="canonical", cap=16, max_seconds=0.3)
+    # n = 10 fits the budget, and its levels take far longer than the deadline
+    rep = exact_ex(10, 3, BOWTIE_FREE, engine="canonical", max_seconds=0.3)
     assert not rep.exhaustive
     clear_generation_cache()
 
