@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graphs import Graph, _bits, from_mask
+from .graphs import Graph, _bits, from_mask, to_mask
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,14 @@ def _twin_representatives(adj: tuple[int, ...], cell: int, twins: dict[int, int]
 
 
 def _encode(adj: tuple[int, ...], perm: list[int], n: int) -> int:
-    """`to_mask` of the graph relabeled so that perm[j] becomes j, inlined
-    because it runs once per leaf, where relabeling first costs more."""
+    """`to_mask` of the graph relabeled so that perm[j] becomes j.  The bit
+    loop is faster up to n = 32; above, its shifts of a growing key are
+    quadratic in C(n,2), and relabeling first is linear per row."""
+    if n > 32:
+        inverse = [0] * n
+        for j, v in enumerate(perm):
+            inverse[v] = j
+        return to_mask(Graph(n, adj).permute(inverse))
     key = 0
     for j in range(1, n):
         pj = perm[j]
@@ -82,6 +88,18 @@ def _encode(adj: tuple[int, ...], perm: list[int], n: int) -> int:
 def _canonical_search(g: Graph) -> tuple[CanonicalForm, tuple[tuple[int, ...], ...]]:
     """Canonical form of g and generators of Aut(g), each a tuple sending
     vertex v to sigma[v].
+
+    Twin cells end the search early.  In a twin cell every vertex is a twin
+    of the least one, so a vertex outside sees all of it or none: refinement
+    never splits it, and individualizing in it splits no other cell and
+    keeps every signature's order.  Branching there has one child, so below
+    a node whose cells are singletons and twin cells lies one leaf, each
+    cell ascending; `descend` emits it at once, each twin recorded against
+    its cell's least vertex as the branching did.  The leaves, keys and
+    jump-back nodes stay the same, and a blow-up costs what its quotient
+    costs.  Leaf keys come from `_encode`: a bit loop up to n = 32, then a
+    `Graph.permute` relabel, whose rows past 5 + n/8 neighbours take one
+    string pick each.
 
     The generators are recorded the nauty way.  A pruned twin gives its
     transposition, and a leaf whose key equals the first leaf's, or the best
@@ -111,10 +129,13 @@ def _canonical_search(g: Graph) -> tuple[CanonicalForm, tuple[tuple[int, ...], .
         """Search below the node `path` reached; return the depth to jump back to, or n."""
         nonlocal first, best
         for idx, c in enumerate(cells):
-            if c.bit_count() > 1:
+            if c.bit_count() > 1 and len(reps := _twin_representatives(adj, c, twins)) > 1:
                 break
         else:
-            perm = [c.bit_length() - 1 for c in cells]
+            if len(cells) == n:
+                perm = [c.bit_length() - 1 for c in cells]
+            else:  # the cells left are twin cells
+                perm = [v for c in cells for v in _bits(c)]
             key = _encode(adj, perm, n)
             if not first[1]:
                 first = best = (key, perm, path)
@@ -125,7 +146,7 @@ def _canonical_search(g: Graph) -> tuple[CanonicalForm, tuple[tuple[int, ...], .
             elif key < best[0]:
                 best = (key, perm, path)
             return n
-        for v in _twin_representatives(adj, c, twins):
+        for v in reps:
             vb = 1 << v
             back = descend(_refine(adj, cells[:idx] + [vb, c ^ vb] + cells[idx + 1 :]), path + (v,))
             if back < len(path):

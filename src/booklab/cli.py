@@ -46,7 +46,11 @@ def _read_graph(spec: str) -> Graph:
     if spec == "-":
         return parse_graph_text(sys.stdin.read())
     path = Path(spec)
-    if path.exists():
+    try:
+        is_file = path.exists()
+    except OSError:  # a graph6 literal past the longest file name
+        is_file = False
+    if is_file:
         return parse_graph_text(path.read_text())
     # '.' and '/' lie outside the graph6 alphabet: such a spec names a file
     if "." in spec or "/" in spec:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from . import canonical  # a cycle: canonical imports this module, and booklab loads it first
@@ -104,19 +105,32 @@ class Graph:
         return tuple(_bits(self.adj[v]))
 
     def permute(self, perm: tuple[int, ...] | list[int]) -> "Graph":
-        """Relabel: vertex v of self becomes perm[v] of the result."""
-        if sorted(perm) != list(range(self.n)):
+        """Relabel: vertex v of self becomes perm[v] of the result.  A row
+        with more than 5 + n/8 neighbors is formatted, its digits picked in
+        the new order and parsed, about 1 + n/45 microseconds; the bit loop
+        takes about 0.18 a neighbor (CPython 3.11)."""
+        n = self.n
+        if sorted(perm) != list(range(n)):
             raise ValueError("perm is not a permutation of range(n)")
         image = [1 << p for p in perm]
-        rows = [0] * self.n
+        # digit k of a new row, most significant first, is digit order[k] of the old
+        order = [0] * n
+        for w, p in enumerate(perm):
+            order[n - 1 - p] = n - 1 - w
+        pick = itemgetter(*order) if n else None
+        fmt, cut = f"0{n}b", 5 + n // 8
+        rows = [0] * n
         for u, row in enumerate(self.adj):
+            if row.bit_count() > cut:
+                rows[perm[u]] = int("".join(pick(format(row, fmt))), 2)
+                continue
             out = 0
             while row:
                 low = row & -row
                 out |= image[low.bit_length() - 1]
                 row ^= low
             rows[perm[u]] = out
-        return Graph(self.n, tuple(rows))
+        return Graph(n, tuple(rows))
 
 
 def from_edges(n: int, edges) -> Graph:

@@ -374,8 +374,9 @@ def canonical_generation(
     """
     if r < 1:
         raise ValueError("clique size must be >= 1")
-    # every build offers at least 2^(n-2) candidates; checked first, this also
-    # refuses n < r, whose edgeless witness's canonical search grows as n^3
+    # every build offers at least 2^(n-2) candidates; checked first, this
+    # refuses every order past the budget alike, n < r included, although
+    # that run builds no level
     _check_work(1, max(n - 2, 0), f"generation at n={n}")
     engine = "canonical-generation"
     if n < r:
@@ -620,6 +621,8 @@ def symmetrize(
     while True:
         target = cliques_by_r[r]
         history.append(len(target))
+        if not target:
+            break  # every clone gain is a difference of clique counts, all 0
 
         # above[k]: the vertices in more than k r-cliques
         level: dict[int, int] = {}

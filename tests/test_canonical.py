@@ -1,11 +1,14 @@
+import hashlib
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from booklab.canonical import CanonicalForm, _canonical_search, _refine, canonical_form
+from booklab.constructions import book_extremal
 from booklab.formats import graph6_decode
 from booklab.graphs import (
     _bits,
@@ -195,6 +198,32 @@ def test_symmetric_keys_are_pinned_under_relabeling(name):
         perm = list(range(g.n))
         random.Random(seed).shuffle(perm)
         assert canonical_form(g.permute(perm)).key.hex() == key_hex
+
+
+# sha256 prefixes of the canonical keys, recorded while the search branched
+# on every vertex of a twin cell: 1.1-2.7 s each at n = 400 and 6-27 s at
+# n = 800 on a 2-core VM (CPython 3.11); each graph has at most 3 twin
+# classes, so the search now stops at the root's refinement
+TWIN_CLASS_KEYS = {
+    ("edgeless", 400): "979aca0f9d52",
+    ("K_n", 400): "635fa10f9290",
+    ("book_extremal", 400): "65704da3fb9f",
+    ("edgeless", 800): "ebbf32160af5",
+    ("K_n", 800): "67b01c1ed975",
+    ("book_extremal", 800): "f337d60ddb92",
+}
+TWIN_CLASS_GRAPHS = {"edgeless": empty_graph, "K_n": complete_graph,
+                     "book_extremal": lambda n: book_extremal(n, 4, 1)}
+
+
+@pytest.mark.parametrize("n", [400, pytest.param(800, marks=pytest.mark.slow)])
+@pytest.mark.parametrize("name", sorted(TWIN_CLASS_GRAPHS))
+def test_few_twin_classes_keep_the_search_fast(name, n):
+    g = TWIN_CLASS_GRAPHS[name](n)
+    t0 = time.perf_counter()
+    key = canonical_form(g).key
+    assert time.perf_counter() - t0 < 2.0
+    assert hashlib.sha256(key).hexdigest()[:12] == TWIN_CLASS_KEYS[name, n]
 
 
 # ---------------------------------------------------------------------------

@@ -199,6 +199,20 @@ def test_climb(capsys):
     assert len(data["witnesses_g6"]) == 1
 
 
+def test_climb_from_a_start_with_no_clique_stops_at_once(capsys):
+    # no clone move can gain when the count is 0; scanning every paired
+    # move anyway took 23 s from this start.  Its graph6 literal is longer
+    # than a file name may be, which the input probe must survive.
+    from booklab.graphs import empty_graph
+
+    t0 = time.perf_counter()
+    data = run_json(capsys, "climb", "--input", graph6_encode(empty_graph(800)), "--r", "3",
+                    "--forbid", "B(3,1)")
+    assert time.perf_counter() - t0 < 5.0
+    assert (data["maximum"], data["history"], data["examined"]) == (0, [0], 0)
+    assert data["witnesses_g6"] == [graph6_encode(empty_graph(800))]
+
+
 def test_beta(capsys):
     data = run_json(capsys, "beta", "4", "2")
     assert data == {

@@ -1,4 +1,5 @@
 import gc
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -79,6 +80,17 @@ def test_permute_matches_a_set_relabel(g, data):
     want = {frozenset((perm[u], perm[v])) for u, v in g.edges()}
     h = g.permute(perm)
     assert {frozenset(e) for e in h.edges()} == want and h.n == g.n
+
+
+@pytest.mark.parametrize("p", [0, 0.5, 1])
+def test_permute_matches_an_edge_list_relabel_across_row_kernels(p):
+    # rows past 5 + n/8 neighbors take the string pick, sparser ones the bit
+    # loop; n = 0..64 puts rows of every density on both sides of the cut
+    rng = random.Random(64)
+    for n in range(65):
+        g = from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+        perm = rng.sample(range(n), n)
+        assert g.permute(perm) == from_edges(n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
 @given(graphs(max_n=7), st.integers(min_value=0, max_value=8))
