@@ -9,8 +9,8 @@ same word-wise AND tricks work uniformly for any order; everything below
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import itemgetter
+from functools import lru_cache, reduce
+from operator import itemgetter, or_
 from typing import Iterator, Sequence
 
 from . import canonical  # a cycle: canonical imports this module, and booklab loads it first
@@ -373,8 +373,8 @@ def _plan(h: Graph, pinned: tuple[int, ...]):
     """Search plan of h with the given pattern vertices placed first, the
     rest most-constrained-first (most placed neighbours, then degree).
 
-    Returns (order, earlier, need): the pattern vertex at each position, its
-    pattern neighbours placed before it, and its degree.
+    Returns (order, later, need): the pattern vertex at each position, the
+    later positions adjacent to it, and its degree.
     """
     order = list(pinned)
     placed = sum(1 << p for p in pinned)
@@ -388,10 +388,10 @@ def _plan(h: Graph, pinned: tuple[int, ...]):
                 best, best_key = p, key
         order.append(best)
         placed |= 1 << best
-    earlier = tuple(
-        tuple(q for q in order[:idx] if (h.adj[p] >> q) & 1) for idx, p in enumerate(order)
+    later = tuple(
+        tuple(j for j in range(i + 1, h.n) if h.has_edge(p, order[j])) for i, p in enumerate(order)
     )
-    return tuple(order), earlier, tuple(h.adj[p].bit_count() for p in order)
+    return tuple(order), later, tuple(h.adj[p].bit_count() for p in order)
 
 
 def _embed(
@@ -403,36 +403,41 @@ def _embed(
     every pattern vertex, or None.  Pinned vertices are placed first, each
     with its host vertex as its only candidate, the rest in the order of h's
     cached plan, and host candidates are tried in ascending order.
+
+    Domains and a neighbour count prune subtrees that hold no embedding
+    (README "Embedding"), so the first embedding found does not change.
     """
     if h.n > g.n:
         return None
-    order, earlier, need = _plan(h, tuple(p for p, _ in pins))
+    order, later, need = _plan(h, tuple(p for p, _ in pins))
     adj = g.adj
     nh = h.n
     image = [0] * nh
-    full = (1 << g.n) - 1
-    start = [1 << w for _, w in pins] + [full] * (nh - len(pins))
 
-    def place(idx: int, used: int) -> bool:
-        if idx == nh:
-            return True
-        cand = start[idx] & ~used
-        for q in earlier[idx]:
-            cand &= adj[image[q]]
-        d = need[idx]
-        p = order[idx]
+    def place(idx: int, free: int, dom: list[int]) -> bool:
+        cand = dom[idx] & free
+        d, p, nxt = need[idx], order[idx], later[idx]
+        reach = free & reduce(or_, map(dom.__getitem__, nxt), 0)
         while cand:
             low = cand & -cand
             w = low.bit_length() - 1
             cand ^= low
-            if adj[w].bit_count() < d:
+            row = adj[w]
+            if row.bit_count() < d or (reach & row).bit_count() < len(nxt):
                 continue
-            image[p] = w
-            if place(idx + 1, used | low):
-                return True
+            child = dom.copy()
+            for j in nxt:
+                child[j] = dj = child[j] & row
+                if not dj & free:
+                    break
+            else:
+                image[p] = w
+                if idx + 1 == nh or place(idx + 1, free ^ low, child):
+                    return True
         return False
 
-    found = place(0, 0)
+    full = (1 << g.n) - 1
+    found = not nh or place(0, full, [1 << w for _, w in pins] + [full] * (nh - len(pins)))
     del place  # the closure refers to itself, a cycle each call would leave
     return tuple(image) if found else None
 

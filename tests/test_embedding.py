@@ -8,12 +8,14 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
 
 import booklab
 from booklab.canonical import nonedge_orbit_reps, vertex_orbit_reps
+from booklab.constructions import book_extremal
 from booklab.graphs import (
     _bits,
     _embed,
@@ -25,7 +27,8 @@ from booklab.graphs import (
     path_graph,
     turan_graph,
 )
-from booklab.patterns import BookSpec, book_graph, h1_graph, h2_graph
+from booklab.patterns import BookSpec, book_graph, h1_graph, h2_graph, parse_family
+from booklab.search import clone_move, random_free_graph
 
 from conftest import graphs, kneser, paley
 
@@ -213,3 +216,64 @@ def test_first_embeddings_are_pinned():
                 for pins in pinsets:
                     digest.update(repr(_embed(g, h, pins)).encode())
     assert digest.hexdigest() == FIRST_EMBEDDINGS_SHA256
+
+
+def _twin_clone(g):
+    """g after the clone move that gives vertex 0's last non-neighbour the
+    neighbourhood of 0, making the two non-adjacent twins."""
+    t = max(v for v in range(1, g.n) if not g.has_edge(0, v))
+    return clone_move(g, t, 0)
+
+
+def _large_host_corpus():
+    lemma = parse_family("B(4,1),H1,K(5)")
+    hosts = {}
+    for n in (16, 40):
+        g = random_free_graph(n, lemma, random.Random(n))
+        hosts[f"repaired{n}"] = g
+        hosts[f"clone{n}"] = _twin_clone(g)
+    hosts["book_extremal20"] = book_extremal(20, 4, 1)
+    hosts["turan28"] = turan_graph(28, 3)
+    return hosts
+
+
+# SHA-256 over the result of every `_embed` call below, recorded before the
+# search carried domains.  No host holds H1, so the H1 calls are failing
+# searches, the ones the pruning cuts; Q6 embeds in every host.
+LARGE_HOST_EMBEDDINGS_SHA256 = "698296ccf313f6ec4cc0e16ab4fc03a880d155de035fecaf3ac9ea5ce50bcfad"
+
+
+def test_first_embeddings_on_large_hosts_are_pinned():
+    pats = {
+        "H1": h1_graph(),
+        "Q6": from_edges(6, [(0, 1), (0, 2), (0, 4), (1, 2), (1, 3), (1, 5), (2, 3), (2, 4),
+                             (2, 5), (3, 4), (4, 5)]),
+    }
+    digest = hashlib.sha256()
+    hosts = _large_host_corpus()
+    for name in sorted(hosts):
+        g = hosts[name]
+        for pname in sorted(pats):
+            h = pats[pname]
+            # every set of at most two pins: swapping two pins changes no
+            # result, so each pair of pattern vertices comes once
+            pinsets = [()] + [((a, w),) for a in range(h.n) for w in range(g.n)]
+            pinsets += [
+                ((a, w), (b, x))
+                for a, b in itertools.combinations(range(h.n), 2)
+                for w in range(g.n)
+                for x in range(g.n)
+            ]
+            for pins in pinsets:
+                digest.update(repr(_embed(g, h, pins)).encode())
+    assert digest.hexdigest() == LARGE_HOST_EMBEDDINGS_SHA256
+
+
+def test_pinned_twins_of_an_extremal_graph_fail_fast():
+    # the climb's check on a move: H1 with its non-adjacent 0 and 5 pinned on
+    # two twins (here one side of the complete bipartite part)
+    g = book_extremal(800, 4, 1)
+    assert g.adj[2] == g.adj[4] and not g.has_edge(2, 4)
+    t0 = time.perf_counter()
+    assert _embed(g, h1_graph(), ((0, 2), (5, 4))) is None
+    assert time.perf_counter() - t0 < 0.05
