@@ -85,9 +85,11 @@ def _encode(adj: tuple[int, ...], perm: list[int], n: int) -> int:
     return key
 
 
-def _canonical_search(g: Graph) -> tuple[CanonicalForm, tuple[tuple[int, ...], ...]]:
-    """Canonical form of g and generators of Aut(g), each a tuple sending
-    vertex v to sigma[v].
+def _search(g: Graph) -> tuple[CanonicalForm, dict[tuple[int, ...], None], dict[int, int]]:
+    """Canonical form of g, the automorphisms found between leaves, each a
+    tuple sending vertex v to sigma[v], and the pruned twins, each mapped to
+    the representative it was pruned against.  Those automorphisms and the
+    twins' transpositions generate Aut(g).
 
     Twin cells end the search early.  In a twin cell every vertex is a twin
     of the least one, so a vertex outside sees all of it or none: refinement
@@ -119,7 +121,7 @@ def _canonical_search(g: Graph) -> tuple[CanonicalForm, tuple[tuple[int, ...], .
     n = g.n
     nbits = n * (n - 1) // 2
     if n <= 1:
-        return CanonicalForm(n, b""), ()
+        return CanonicalForm(n, b""), {}, {}
     adj = g.adj
     first = best = (0, [], ())
     gens: dict[tuple[int, ...], None] = {}
@@ -155,17 +157,23 @@ def _canonical_search(g: Graph) -> tuple[CanonicalForm, tuple[tuple[int, ...], .
 
     descend(_refine(adj, [(1 << n) - 1]), ())
     del descend  # the closure refers to itself, a cycle each call would leave
-    for v, u in twins.items():
-        sigma = list(range(n))
-        sigma[u], sigma[v] = v, u
-        gens[tuple(sigma)] = None
     pad = (-nbits) % 8
     key = (best[0] << pad).to_bytes((nbits + pad) // 8, "big")
-    return CanonicalForm(n, key), tuple(gens)
+    return CanonicalForm(n, key), gens, twins
+
+
+def _canonical_search(g: Graph) -> tuple[CanonicalForm, tuple[tuple[int, ...], ...]]:
+    """Canonical form of g and generators of Aut(g): leaf automorphisms, then twin swaps."""
+    form, gens, twins = _search(g)
+    for v, u in twins.items():
+        sigma = list(range(g.n))
+        sigma[u], sigma[v] = v, u
+        gens[tuple(sigma)] = None
+    return form, tuple(gens)
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
-    return _canonical_search(g)[0]
+    return _search(g)[0]  # no twin transposition, n entries each, is built
 
 
 def _orbit_reps(size: int, tables: list) -> list[int]:

@@ -134,12 +134,10 @@ def _cmd_construct(args) -> int:
         g = partition_construction(n, p, args.s)
         predicted = partition_predicted_count(n, p)
         default_family = ForbiddenFamily(books=(BookSpec(p.r, args.s),))
-    elif kind == "b42":
+    else:  # b42; argparse's choices admit no other kind
         g = b42_construction(n)
         predicted = b42_count(n)
         default_family = ForbiddenFamily(books=(BookSpec(4, 2),))
-    else:
-        raise ValueError(f"unknown construction kind {kind!r}")
     if args.family:
         family = parse_family(args.family)
     else:
@@ -230,7 +228,7 @@ def _table_rows(theorem: str, n_min: int, n_max: int):
             formula = (n - 2) ** 2 // 4
             computed = count_cliques(book_extremal(n, 4, 1), 4)
             yield {"n": n, "formula": formula, "computed": computed, "match": formula == computed}
-    elif theorem == "1.7-lower":
+    else:  # 1.7-lower; argparse's choices admit no other table
         for n in range(max(n_min, 6), n_max + 1):
             # bound n^2/12 - 2 compared in integers: count >= bound iff
             # 12*count >= n^2 - 24; the displayed bound is its ceiling
@@ -238,8 +236,6 @@ def _table_rows(theorem: str, n_min: int, n_max: int):
             computed = b42_count(n)
             yield {"n": n, "formula": bound_ceiling, "computed": computed,
                    "match": 12 * computed >= n * n - 24}
-    else:
-        raise ValueError(f"unknown table {theorem!r}")
 
 
 def _cmd_table(args) -> int:
@@ -295,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--forbid", default="", help="forbidden family; empty for none")
-    p.add_argument("--engine", choices=["auto", "labeled", "canonical"], default="auto")
+    p.add_argument("--engine", choices=["labeled", "canonical"], default="canonical")
     p.add_argument("--max-seconds", type=float, default=None,
                    help="soft deadline; on expiry a partial report with exhaustive=false")
     p.add_argument("--jobs", type=int, default=1)

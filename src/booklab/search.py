@@ -31,7 +31,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 
 from .canonical import CanonicalForm, canonical_form, nonedge_orbit_reps, subset_orbit_reps
 from .errors import ResourceLimitError
@@ -161,10 +161,10 @@ def brute_force_labeled(
     2^C(n,2) exceeds WORK_BUDGET, so it runs up to n = 7."""
     if r < 1:
         raise ValueError("clique size must be >= 1")
-    _check_work(1, n * (n - 1) // 2, f"the labeled sweep at n={n}")
     engine = "labeled-brute-force"
     if n < r:
         return _finish_witnesses(n, r, family, 0, set(), 0, engine, True)
+    _check_work(1, n * (n - 1) // 2, f"the labeled sweep at n={n}")
     deadline = None if max_seconds is None else time.monotonic() + max_seconds
     total = 1 << (n * (n - 1) // 2)
     results = _run_shards(
@@ -374,10 +374,6 @@ def canonical_generation(
     """
     if r < 1:
         raise ValueError("clique size must be >= 1")
-    # every build offers at least 2^(n-2) candidates; checked first, this
-    # refuses every order past the budget alike, n < r included, although
-    # that run builds no level
-    _check_work(1, max(n - 2, 0), f"generation at n={n}")
     engine = "canonical-generation"
     if n < r:
         return _finish_witnesses(n, r, family, 0, set(), 0, engine, True)
@@ -407,22 +403,23 @@ def exact_ex(
     n: int,
     r: int,
     family: ForbiddenFamily,
-    engine: str = "auto",
+    engine: str = "canonical",
     *,
     max_seconds: float | None = None,
     jobs: int = 1,
 ) -> SearchReport:
     """Maximum number of r-cliques over family-free graphs on n vertices.
 
-    engine: "labeled", "canonical", or "auto" (canonical generation, the
-    one that scales).  Searches with n < r are degenerate: the maximum is 0
-    and the edgeless graph is reported as the witness.
+    engine: "canonical" (generation, the one that scales) or "labeled" (the
+    sweep of every labeled graph).  Searches with n < r are degenerate: the
+    maximum is 0 and the edgeless graph is reported as the witness, on
+    either engine and at every n up to VERTEX_CAP.
     """
     if n < 0:
         raise ValueError("negative vertex count")
     if r < 1:
         raise ValueError("clique size must be >= 1")
-    if engine in ("auto", "canonical"):
+    if engine == "canonical":
         return canonical_generation(n, r, family, max_seconds=max_seconds, jobs=jobs)
     if engine == "labeled":
         return brute_force_labeled(n, r, family, max_seconds=max_seconds, jobs=jobs)
@@ -592,6 +589,27 @@ def _carry(
     return cur, kcount
 
 
+def _paired_moves(cur: Graph, kcount: list[int], target: list[int], rng):
+    """The paired clones (y, (x, z)) that raise the count: y over both ends
+    of an edge among its non-neighbours, best gain first, then least (y, x,
+    z).  Listed once the singles have failed; the shuffle never changes this
+    total order, but advances the rng that later shuffles read."""
+    pair_k = Counter(ab for c in target for ab in combinations(_bits(c), 2))
+    moves = []
+    for y, row in enumerate(cur.adj):
+        others = ((1 << cur.n) - 1) & ~row & ~(1 << y)
+        for x in _bits(others):
+            for z in _bits(others & cur.adj[x] & -(2 << x)):
+                gain = 2 * kcount[y] - kcount[x] - kcount[z] + pair_k[(x, z)]
+                if gain > 0:
+                    moves.append((-gain, y, x, z))
+    if rng is not None:
+        rng.shuffle(moves)
+    moves.sort()
+    for _, y, x, z in moves:
+        yield y, (x, z)
+
+
 def symmetrize(
     g: Graph, r: int, family: ForbiddenFamily, *, seed: int | None = None
 ) -> SearchReport:
@@ -637,48 +655,21 @@ def symmetrize(
             m = above[kcount[u]] & ~row
             while m:
                 low = m & -m
-                singles.append((u, low.bit_length() - 1))
+                singles.append((low.bit_length() - 1, (u,)))
                 m ^= low
         if rng is not None:
             rng.shuffle(singles)
-        singles.sort(key=lambda uv: kcount[uv[0]] - kcount[uv[1]])
+        singles.sort(key=lambda move: kcount[move[1][0]] - kcount[move[0]])
 
         books_ok: dict[int, bool] = {}
-        move = None
-        for u, v in singles:
+        for src, targets in chain(singles, _paired_moves(cur, kcount, target, rng)):
             examined += 1
-            cand = _clone_free(cur, v, (u,), family, cliques_by_r, books_ok)
+            cand = _clone_free(cur, src, targets, family, cliques_by_r, books_ok)
             if cand is not None:
-                move = cand, v, (u,)
                 break
-
-        if move is None:
-            pair_k = Counter(ab for c in target for ab in combinations(_bits(c), 2))
-            triples = []
-            for y in range(n):
-                others = list(_bits(((1 << n) - 1) & ~cur.adj[y] & ~(1 << y)))
-                for i, x in enumerate(others):
-                    for z in others[i + 1 :]:
-                        if not (cur.adj[x] >> z) & 1:
-                            continue  # paired move only pays off across an edge
-                        gain = 2 * kcount[y] - kcount[x] - kcount[z] + pair_k[(x, z)]
-                        if gain > 0:
-                            triples.append((y, x, z, gain))
-            # the sort below is total, so this shuffle never changes the pick;
-            # it stays because it advances the rng that later shuffles read
-            if rng is not None:
-                rng.shuffle(triples)
-            triples.sort(key=lambda t: (-t[3], t[0], t[1], t[2]))
-            for y, x, z, gain in triples:
-                examined += 1
-                cand = _clone_free(cur, y, (x, z), family, cliques_by_r, books_ok)
-                if cand is not None:
-                    move = cand, y, (x, z)
-                    break
-
-        if move is None:
+        else:
             break
-        cur, kcount = _carry(*move, r, cliques_by_r, kcount)
+        cur, kcount = _carry(cand, src, targets, r, cliques_by_r, kcount)
 
     witnesses = (canonical_form(cur),)
     return SearchReport(n, r, family, history[-1], witnesses, examined, "hill-climb", False,

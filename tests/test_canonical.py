@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -224,6 +225,25 @@ def test_few_twin_classes_keep_the_search_fast(name, n):
     key = canonical_form(g).key
     assert time.perf_counter() - t0 < 2.0
     assert hashlib.sha256(key).hexdigest()[:12] == TWIN_CLASS_KEYS[name, n]
+
+
+@pytest.mark.parametrize("name", [
+    "edgeless",
+    pytest.param("K_n", marks=pytest.mark.slow),
+    pytest.param("book_extremal", marks=pytest.mark.slow),
+])
+def test_canonical_form_at_the_vertex_cap_stays_small(name):
+    # canonical_form builds no generator: the 4,095 twin transpositions of
+    # the edgeless graph on 4,096 vertices took a 609 MB traced peak when it
+    # did, and the key alone takes 16-20 MB on these three graphs
+    g = TWIN_CLASS_GRAPHS[name](4096)
+    tracemalloc.start()
+    try:
+        canonical_form(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 # ---------------------------------------------------------------------------

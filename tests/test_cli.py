@@ -313,7 +313,10 @@ def test_exit_codes(capsys):
     assert main(["free", "--input", K6, "--forbid", "B(9,9)"]) == 2
     assert main(["exact", "--n", "9", "--r", "3", "--forbid", "B(3,1)",
                  "--engine", "labeled"]) == 3
-    capsys.readouterr()
+    # n < r answers 0 up to VERTEX_CAP, past which its witness cannot be built
+    assert main(["exact", "--n", "4096", "--r", "5000"]) == 0
+    assert main(["exact", "--n", "5000", "--r", "6000"]) == 2
+    assert "vertex count 5000" in capsys.readouterr().err
 
 
 def test_free_honors_a_lowered_clique_budget(capsys, monkeypatch):
@@ -339,7 +342,8 @@ def test_huge_exact_orders_exit_3_at_once(capsys):
 def test_usage_error_is_exit_2():
     # argparse handles malformed invocations itself
     for argv in (["count", "--r", "3"], ["table", "--theorem", "9.9", "--n-max", "5"],
-                 ["exact", "--n", "8", "--r", "3", "--cap", "12"]):
+                 ["exact", "--n", "8", "--r", "3", "--cap", "12"],
+                 ["exact", "--n", "5", "--r", "3", "--engine", "auto"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

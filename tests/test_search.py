@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import os
 import random
@@ -6,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -97,8 +99,9 @@ def test_exact_ex_validates():
         exact_ex(-1, 3, BOWTIE_FREE)
     with pytest.raises(ValueError):
         exact_ex(4, 0, BOWTIE_FREE)
-    with pytest.raises(ValueError):
-        exact_ex(4, 3, BOWTIE_FREE, engine="magic")
+    for engine in ("magic", "auto"):  # "canonical" is the one name of generation
+        with pytest.raises(ValueError, match=f"unknown engine '{engine}'"):
+            exact_ex(4, 3, BOWTIE_FREE, engine=engine)
 
 
 @pytest.mark.parametrize("engine", [brute_force_labeled, canonical_generation, exact_ex])
@@ -113,6 +116,20 @@ def test_exact_ex_degenerate_cases():
     assert rep.witnesses == (canonical_form(empty_graph(2)),)
     rep = exact_ex(0, 3, BOWTIE_FREE)
     assert rep.maximum == 0 and rep.exhaustive
+
+
+@pytest.mark.parametrize("engine, n, r", [
+    ("labeled", 25, 30), ("canonical", 25, 30), ("labeled", 100, 200), ("canonical", 100, 200),
+    ("canonical", 4096, 5000),
+])
+def test_degenerate_runs_answer_zero_up_to_the_vertex_cap(engine, n, r):
+    # with n < r there is no r-clique: both engines answer before any work
+    # check, however far past the budget a run on n vertices would be
+    t0 = time.perf_counter()
+    rep = exact_ex(n, r, LEMMA_FAMILY, engine=engine)
+    assert time.perf_counter() - t0 < 5.0
+    assert (rep.maximum, rep.examined, rep.exhaustive) == (0, 0, True)
+    assert rep.witnesses == (canonical_form(empty_graph(n)),)
 
 
 def test_exact_ex_refuses_past_the_work_budget():
@@ -930,6 +947,40 @@ def test_symmetrize_keeps_its_outputs():
         family = parse_family(spec)
         rep = symmetrize(random_free_graph(n, family, random.Random(start), p), r, family, seed=seed)
         assert (rep.maximum, rep.history, rep.examined, rep.witnesses[0].key.hex()) == want, spec
+
+
+# SHA-256 of (family, n, climb seed, maximum, witness keys, history,
+# examined) over the climbs below, recorded before the single and paired
+# moves were tried through one loop; paired moves are accepted in
+# 6 B(3,1), 3 H1 and 1 B(4,2) of them
+PAIRED_CLIMBS_SHA256 = "44d298eda4009bc652c6d2d0f639e44fdf5afdae1db0453d111db04c8fe07700"
+
+
+def test_climbs_with_paired_moves_keep_their_outputs(monkeypatch):
+    accepted = Counter()
+    clone_free = search._clone_free
+
+    def spy(cur, src, targets, *args):
+        cand = clone_free(cur, src, targets, *args)
+        accepted[spec] += cand is not None and len(targets) == 2
+        return cand
+
+    monkeypatch.setattr(search, "_clone_free", spy)
+    digest = hashlib.sha256()
+    fired = Counter()
+    for spec, r in (("B(3,1)", 3), ("H1", 4), ("B(4,2)", 4)):
+        family = parse_family(spec)
+        for n in range(12, 31, 3):
+            for seed in (None, 1, 2, 3):
+                start = random_free_graph(n, family, random.Random(1000 * n + (seed or 0)), 0.3)
+                before = accepted[spec]
+                rep = symmetrize(start, r, family, seed=seed)
+                fired[spec] += accepted[spec] > before
+                digest.update(repr((spec, n, seed, rep.maximum,
+                                    tuple(w.key.hex() for w in rep.witnesses),
+                                    rep.history, rep.examined)).encode())
+    assert fired == {"B(3,1)": 6, "H1": 3, "B(4,2)": 1}
+    assert digest.hexdigest() == PAIRED_CLIMBS_SHA256
 
 
 class _CountingRandom(random.Random):
