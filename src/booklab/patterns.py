@@ -14,6 +14,8 @@ from .canonical import canonical_form
 from .graphs import (
     Graph,
     VertexSet,
+    _check_clique_count,
+    _list_into,
     clique_mask_list,
     complete_graph,
     enumerate_clique_masks,
@@ -103,14 +105,19 @@ class BookScan:
     """The r-cliques of a graph, scanned row by row for a pair that marks a
     book B(r,s), with the cliques of deleted edges dropped in place.
 
-    `masks` lists the cliques inside `within` lexicographically; a dropped
-    clique keeps its row as 0, so every other clique keeps its index.
-    cols[v] is the bitset of live cliques holding v, clique i at bit
-    top - i: the cliques after row i are the low bits.  cols stays None
-    until `first` meets a clean row or an edge is dropped: before that,
-    `first` probes each row against the later cliques directly, as a
-    graph that holds a book usually shows it in row 0.  Raises
-    ResourceLimitError past `graphs.CLIQUE_BUDGET`.
+    `masks` lists the cliques inside `within` lexicographically, block by
+    block: block v holds those whose least vertex is v, and `rest` is the
+    least vertices not used yet.  A dropped clique keeps its row as 0, so
+    every other clique keeps its index.  Until a row is clean or an edge
+    is dropped, `first` probes its start row against each block as it is
+    listed, and stops once fewer than s of the row's vertices are at or
+    above the next block's least vertex, as every later clique meets the
+    row in fewer than s.  A graph that holds a book usually shows it in
+    row 0 within a few blocks.  Then `_columns` lists the rest in
+    one call and sets `top`, `live` and cols: cols[v] is the bitset of
+    live cliques holding v, clique i at bit top - i, so the cliques after
+    row i are the low bits.  Raises ResourceLimitError past
+    `graphs.CLIQUE_BUDGET`.
 
     By default (`within` and `singles` every vertex) a hit is a pair sharing
     exactly s vertices.  With `within` the `graphs.twin_classes`
@@ -125,16 +132,31 @@ class BookScan:
 
     def __init__(self, g: Graph, spec: BookSpec, within: int | None = None,
                  singles: int | None = None):
-        self.masks = masks = clique_mask_list(g, spec.r, within)
-        self.s = spec.s
-        self.singles = (1 << g.n) - 1 if singles is None else singles
-        self.top = len(masks) - 1
-        self.live = (1 << len(masks)) - 1
-        self.n = g.n
+        full = (1 << g.n) - 1
+        self.g, self.r, self.s = g, spec.r, spec.s
+        self.rest = full if within is None else within
+        self.singles = full if singles is None else singles
+        self.masks: list[int] = []
         self.cols: list[int] | None = None
 
+    def _block(self) -> None:
+        low = self.rest & -self.rest
+        self.rest = rest = self.rest ^ low
+        adj = self.g.adj
+        _list_into(self.masks, adj, low, rest & adj[low.bit_length() - 1], self.r - 1)
+        if rest.bit_count() < self.r:
+            self.rest = 0  # too few vertices are left for another clique
+
     def _columns(self) -> list[int]:
-        self.cols = cols = [0] * self.n
+        masks = self.masks
+        if self.rest:
+            # every clique left lies inside the unused least vertices, in order
+            masks += clique_mask_list(self.g, self.r, self.rest)
+            _check_clique_count(len(masks), self.r)
+            self.rest = 0
+        self.top = len(masks) - 1
+        self.live = (1 << len(masks)) - 1
+        self.cols = cols = [0] * self.g.n
         for k, c in enumerate(reversed(self.masks)):
             bit = 1 << k
             while c:
@@ -147,22 +169,31 @@ class BookScan:
         """The first hit (i, j) with i >= start: the least i, then the least
         j; (i, i) when row i is a hit by itself, which needs at most s
         single members and so never happens by default."""
-        masks, top, s, singles = self.masks, self.top, self.s, self.singles
-        end = len(masks)
+        masks, s, singles = self.masks, self.s, self.singles
         if self.cols is None:
-            # no edge is dropped yet, so every row is live: probe rows
-            # directly, and build the columns at the first clean one
-            for i in range(start, end):
-                ci = masks[i]
+            # no edge is dropped yet: probe row start against the cliques as
+            # their blocks come, and list the rest only when the row is clean
+            while len(masks) <= start and self.rest:
+                self._block()
+            if start < len(masks):
+                ci = masks[start]
                 if (ci & singles).bit_count() <= s:
-                    return i, i
-                for j in range(i + 1, end):
-                    x = ci & masks[j]
-                    if x.bit_count() >= s and (x & singles).bit_count() <= s:
-                        return i, j
-                start = i + 1
-                self._columns()
-                break
+                    return start, start
+                j = start + 1
+                while True:
+                    end = len(masks)
+                    for j in range(j, end):
+                        x = ci & masks[j]
+                        if x.bit_count() >= s and (x & singles).bit_count() <= s:
+                            return start, j
+                    j = end
+                    low = self.rest & -self.rest
+                    if not low or (ci & -low).bit_count() < s:
+                        break
+                    self._block()
+                start += 1
+            self._columns()
+        top, end = self.top, len(masks)
         cols = self.cols
         steps = range(s + 1, 0, -1)
         rest = [0] * (s + 1)
@@ -202,8 +233,8 @@ class BookScan:
     def drop_edge(self, u: int, v: int) -> None:
         """Drop the cliques holding both u and v, as deleting edge uv does.
         Valid only on a default scan: deleting an edge splits twin classes."""
-        masks, top = self.masks, self.top
         cols = self._columns() if self.cols is None else self.cols
+        masks, top = self.masks, self.top
         dead = cols[u] & cols[v]
         self.live ^= dead
         members = 0
@@ -229,8 +260,9 @@ def book_violation(g: Graph, spec: BookSpec) -> CliqueWitness | None:
     book scanner; `search.random_free_graph` resumes the same scan after
     each deleted edge.  When g has false twins, the scan of its twin
     quotient runs first and answers None when it finds no hit, so a clean
-    graph with twins lists only the quotient's cliques; a graph with none
-    is scanned in full.  Raises ResourceLimitError past
+    graph with twins lists only the quotient's cliques.  A hit in row 0
+    is found with only the blocks up to it listed, in each scan; a clean
+    graph is listed in full.  Raises ResourceLimitError past
     `graphs.CLIQUE_BUDGET`.
     """
     reps, size = twin_classes(g)

@@ -593,14 +593,23 @@ def _paired_moves(cur: Graph, kcount: list[int], target: list[int], rng):
     """The paired clones (y, (x, z)) that raise the count: y over both ends
     of an edge among its non-neighbours, best gain first, then least (y, x,
     z).  Listed once the singles have failed; the shuffle never changes this
-    total order, but advances the rng that later shuffles read."""
-    pair_k = Counter(ab for c in target for ab in combinations(_bits(c), 2))
+    total order, but advances the rng that later shuffles read.  A pair's
+    count is at most the lesser of its ends', so a gain needs both ends'
+    counts below 2·kcount[y]; only those ends are walked, and the pair
+    counts are made at the first such edge."""
+    pair_k = None
+    under: dict[int, int] = {}
     moves = []
     for y, row in enumerate(cur.adj):
-        others = ((1 << cur.n) - 1) & ~row & ~(1 << y)
+        t = 2 * kcount[y]
+        if t not in under:
+            under[t] = sum(1 << v for v, k in enumerate(kcount) if k < t)
+        others = under[t] & ~row & ~(1 << y)
         for x in _bits(others):
             for z in _bits(others & cur.adj[x] & -(2 << x)):
-                gain = 2 * kcount[y] - kcount[x] - kcount[z] + pair_k[(x, z)]
+                if pair_k is None:
+                    pair_k = Counter(ab for c in target for ab in combinations(_bits(c), 2))
+                gain = t - kcount[x] - kcount[z] + pair_k[(x, z)]
                 if gain > 0:
                     moves.append((-gain, y, x, z))
     if rng is not None:
@@ -681,19 +690,26 @@ def symmetrize(
 
 def _delete_inside(rows: list[int], span: int, rng: random.Random) -> tuple[int, int]:
     """Delete from rows, in place, one edge among the vertices of span,
-    drawn by rng.choice from those edges in lexicographic order; returns
-    the edge."""
-    inside = []
-    while span:
-        low = span & -span
-        span ^= low
+    drawn as rng.choice would from a list of those edges in lexicographic
+    order: the edges are counted, and only the drawn one is found;
+    returns the edge."""
+    count, rest = 0, span
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        count += (rows[low.bit_length() - 1] & rest).bit_count()
+    k, rest = rng.choice(range(count)), span
+    while True:
+        low = rest & -rest
+        rest ^= low
         u = low.bit_length() - 1
-        later = rows[u] & span
-        while later:
-            low = later & -later
-            later ^= low
-            inside.append((u, low.bit_length() - 1))
-    u, v = rng.choice(inside)
+        later = rows[u] & rest
+        if k < later.bit_count():
+            break
+        k -= later.bit_count()
+    for _ in range(k):
+        later &= later - 1
+    v = (later & -later).bit_length() - 1
     rows[u] &= ~(1 << v)
     rows[v] &= ~(1 << u)
     return u, v
@@ -732,7 +748,8 @@ def random_free_graph(n: int, family: ForbiddenFamily, rng: random.Random, p: fl
                 _delete_inside(rows, span, rng)
             continue
         g = Graph(n, tuple(rows))
-        # the book check perfbench traces (book.calls); a clean book stops here
+        # the book check perfbench traces (book.calls); a clean book stops
+        # here, and a dirty one stops at its first hit, listing few blocks
         if book_violation(g, check) is None:
             continue
         scan = BookScan(g, check)

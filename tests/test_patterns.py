@@ -262,10 +262,11 @@ def test_violation_span_finds_each_kind_of_check():
     assert all(violation_span(turan_graph(8, 2), check) is None for check in fam.checks)
 
 
-def _row_major_first_pair(g, spec):
-    """The first pair (i, j), i < j, of listed r-cliques meeting in exactly s vertices."""
+def _row_major_first_pair(g, spec, start=0):
+    """The first pair (i, j), start <= i < j, of listed r-cliques meeting in
+    exactly s vertices."""
     masks = clique_mask_list(g, spec.r)
-    for i, a in enumerate(masks):
+    for i, a in enumerate(masks[start:], start):
         for b in masks[i + 1 :]:
             if (a & b).bit_count() == spec.s:
                 return a, b
@@ -376,7 +377,7 @@ def _check_lazy_scan(g, spec, data, within=None, singles=None):
     the columns."""
     scan, got = _scan_from(g, spec, 0, within, singles)
     assert got == _column_scan_pair(g, spec, 0, within, singles)
-    k = data.draw(st.integers(1, len(scan.masks) + 1), label="k")
+    k = data.draw(st.integers(1, len(clique_mask_list(g, spec.r, within)) + 1), label="k")
     want = _column_scan_pair(g, spec, k, within, singles)
     assert _scan_from(g, spec, k, within, singles)[1] == want
     hit = scan.first(k)
@@ -417,6 +418,56 @@ def test_a_book_in_row_zero_is_found_without_columns():
     small = BookScan(complete_graph(6), BookSpec(3, 1))
     small.drop_edge(0, 1)
     assert small.cols is not None
+
+
+@given(st.one_of(graphs(max_n=9), twin_blowups()), st.data())
+@settings(max_examples=150)
+def test_block_scan_matches_the_row_major_double_loop(g, data):
+    """A hit in the start row leaves a prefix of the clique list listed;
+    a clean start row or a dropped edge lists all of it."""
+    edges = [(u, v) for u, v in itertools.combinations(range(g.n), 2) if g.has_edge(u, v)]
+    for spec in _ALL_SPECS:
+        full = clique_mask_list(g, spec.r)
+        assert _scan_pair(g, spec) == _row_major_first_pair(g, spec)
+        for start in {0, data.draw(st.integers(0, len(full)), label="start")}:
+            scan, got = _scan_from(g, spec, start)
+            assert got == _row_major_first_pair(g, spec, start)
+            if scan.cols is None:  # the start row's probe hit
+                assert got is not None and scan.masks == full[:len(scan.masks)]
+            else:
+                assert scan.masks == full
+        if edges:
+            u, v = data.draw(st.sampled_from(edges), label="edge")
+            scan = BookScan(g, spec)
+            scan.first()
+            scan.drop_edge(u, v)
+            both = 1 << u | 1 << v
+            assert scan.masks == [0 if c & both == both else c for c in full]
+
+
+def test_a_book_in_the_first_blocks_is_found_past_the_clique_budget():
+    # K_100 holds C(100,4) = 3,921,225 four-cliques, past the budget; block 0
+    # (least vertex 0) holds C(99,3) = 156,849, and row 0 meets {0,4,5,6}
+    # in vertex 0 alone
+    k100 = complete_graph(100)
+    w = book_violation(k100, BookSpec(4, 1))
+    assert (w.first.vertices(), w.second.vertices()) == ((0, 1, 2, 3), (0, 4, 5, 6))
+    assert not is_free(k100, parse_family("B(4,1)"))
+    # in K_200 block 0 alone holds C(199,3) = 1,293,699
+    with pytest.raises(ResourceLimitError):
+        is_free(complete_graph(200), parse_family("B(4,1)"))
+
+
+def test_a_clean_graph_past_the_clique_budget_is_refused(monkeypatch):
+    # 32 disjoint K4s: 128 triangles and no twins.  Row 0 is clean, so the
+    # blocks of vertices 0 to 2 (four triangles) and then the rest are listed
+    k4s = from_edges(128, [(4 * b + x, 4 * b + y) for b in range(32)
+                           for x, y in itertools.combinations(range(4), 2)])
+    monkeypatch.setattr("booklab.graphs.CLIQUE_BUDGET", 127)
+    with pytest.raises(ResourceLimitError):
+        is_free(k4s, parse_family("B(3,1)"))
+    monkeypatch.setattr("booklab.graphs.CLIQUE_BUDGET", 128)
+    assert is_free(k4s, parse_family("B(3,1)"))
 
 
 @given(twin_blowups())

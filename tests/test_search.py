@@ -1060,6 +1060,32 @@ def _per_step_repair(n, family, rng, p):
     return g
 
 
+def _delete_from_the_list(rows, span, rng):
+    """The list-based draw _delete_inside ran before it counted: every edge
+    inside span, lexicographically, then rng.choice."""
+    inside = [(u, v) for u, v in itertools.combinations(_bits(span), 2) if rows[u] >> v & 1]
+    u, v = rng.choice(inside)
+    rows[u] &= ~(1 << v)
+    rows[v] &= ~(1 << u)
+    return u, v
+
+
+@given(graphs(min_n=2, max_n=70), st.data())
+@settings(max_examples=200)
+def test_counted_edge_draw_matches_the_list_draw(g, data):
+    span = data.draw(st.integers(0, (1 << g.n) - 1), label="span")
+    if not any(g.adj[u] & span for u in _bits(span)):
+        return
+    seed = data.draw(st.integers(0, 2**32), label="seed")
+    rows, want_rows = list(g.adj), list(g.adj)
+    rng, want_rng = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        assert search._delete_inside(rows, span, rng) == _delete_from_the_list(want_rows, span, want_rng)
+        assert rows == want_rows and rng.getstate() == want_rng.getstate()
+        if not any(rows[u] & span for u in _bits(span)):
+            break
+
+
 @pytest.mark.parametrize("spec", [
     "B(2,0)", "B(2,1)", "B(3,0)", "B(3,1)", "B(4,1)", "B(4,2)",
     "B(3,1),B(4,2)", "B(4,1),H1,K(5)", "K(5),K(4),H1",
