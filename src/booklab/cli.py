@@ -51,7 +51,11 @@ def _read_graph(spec: str) -> Graph:
     except OSError:  # a graph6 literal past the longest file name
         is_file = False
     if is_file:
-        return parse_graph_text(path.read_text())
+        try:
+            text = path.read_text()
+        except OSError as exc:  # a directory, or no read permission
+            raise ValueError(f"cannot read input file {spec}: {exc.strerror or exc}") from None
+        return parse_graph_text(text)
     # '.' and '/' lie outside the graph6 alphabet: such a spec names a file
     if "." in spec or "/" in spec:
         raise ValueError(f"no such input file: {spec}")

@@ -9,11 +9,11 @@ subgraphs, so every free graph arises from a free parent.  Each parent is
 extended by one neighbourhood per orbit of its automorphism group on vertex
 subsets, using the generators the canonical search records: isomorphic
 children are equally free and share one class; only children whose new
-vertex has least degree are canonicalized (McKay's canonical deletion, step
-one).  Only the levels below n are generated and cached: the maxima on n
-vertices come from one bound pass over the parents on n - 1 vertices, which
-scores each child by the (r-1)-cliques its new vertex sees, checks freeness
-only where the score can still win and canonicalizes only the winners.
+vertex has least degree are checked (McKay's canonical deletion, step one).
+Levels below n are cached; the maxima on n vertices come from one bound
+pass over the parents on n - 1 vertices, which scores the same children by
+the (r-1)-cliques their new vertex sees, checks freeness only where the
+score reaches the best so far and canonicalizes only the winners.
 
 The hill climber repeatedly clones one vertex's neighborhood onto another
 (cloning the source over a target changes the count by k_r(source) -
@@ -228,20 +228,26 @@ def _free_child(
     return None if any(contains_subgraph_at(child, p, k) for p in family.noncomplete) else child
 
 
-def _canonical_shard(args):
-    """Canonical forms of the free children of each parent, and how many
-    parents were extended before the deadline.
+def _least_degree_reps(parent: Graph) -> list[int]:
+    """The `subset_orbit_reps` masks S whose child P + S has its new vertex
+    at least degree (ties kept): with d the parent's least degree, |S| <= d,
+    or |S| = d + 1 and S holds every vertex of degree d.
 
-    A parent is extended by one neighbourhood mask per orbit of its
-    automorphism group on subsets: the children from S and sigma(S) are
-    isomorphic, and freeness does not change under isomorphism, so the
-    classes found are those of all 2^k extensions.  A child is kept only
-    when its new vertex has least degree (ties kept): with d the parent's
-    least degree, |S| <= d, or |S| = d + 1 and S holds every vertex of
-    degree d.  No class is lost: deleting a least-degree vertex u of C
-    leaves a free parent, whose representative S for u's neighbourhood
-    gives C back with the new vertex in u's place.
-    """
+    No class is lost when the parents are the whole level below, as in the
+    level builder and the bound pass: deleting a least-degree vertex u of a
+    free C leaves a free parent P, and the representative S of the orbit of
+    u's neighbourhood gives C back with the new vertex in u's place.  A
+    level cut at a clique-count threshold may lack P."""
+    deg = [row.bit_count() for row in parent.adj]
+    least = min(deg, default=0)
+    ties = sum(1 << u for u, d in enumerate(deg) if d == least)
+    return [s for s in subset_orbit_reps(parent)
+            if s.bit_count() <= least or (s.bit_count() == least + 1 and not ties & ~s)]
+
+
+def _canonical_shard(args):
+    """Canonical forms of each parent's free `_least_degree_reps` children,
+    and how many parents were extended before the deadline."""
     parents, family, deadline = args
     found: set[CanonicalForm] = set()
     extended = 0
@@ -249,13 +255,7 @@ def _canonical_shard(args):
         if deadline is not None and time.monotonic() > deadline:
             break
         lists = _clique_lists(parent, family)
-        deg = [row.bit_count() for row in parent.adj]
-        least = min(deg, default=0)
-        least_mask = sum(1 << u for u, d in enumerate(deg) if d == least)
-        for smask in subset_orbit_reps(parent):
-            size = smask.bit_count()
-            if size > least and (size > least + 1 or least_mask & ~smask):
-                continue
+        for smask in _least_degree_reps(parent):
             child = _free_child(parent, lists, smask, family)
             if child is not None:
                 found.add(canonical_form(child))
@@ -316,11 +316,11 @@ def _last_level_maxima(parents: list[CanonicalForm], r: int, family: ForbiddenFa
     child has count_r(P) plus the number of (r-1)-cliques of P inside S,
     and no child of P beats count_r(P) + K_{r-1}(P).  Parents are visited in
     descending order of that bound, down to the first one below the best
-    free child found; within a parent the orbit representatives of S are
-    tested for freeness in descending score, down to the best.  Only the
-    children at the best score need canonicalizing.  A parent's
-    `_clique_lists` are made only when it is visited, for its scores and
-    child checks.
+    free child found.  The parents are the whole level n - 1, so a visited
+    parent is extended only by its `_least_degree_reps`, and of those only
+    the ones whose score reaches the best so far are tested for freeness.
+    Only the children at the best score need canonicalizing.  A parent's
+    cliques are listed, by `_clique_lists`, only when it is visited.
 
     A child with no r-clique cannot change the report, which then names the
     edgeless graph, so only positive counts are sought.  Returns (best,
@@ -331,8 +331,8 @@ def _last_level_maxima(parents: list[CanonicalForm], r: int, family: ForbiddenFa
     scored = []
     for cf in parents:
         p = cf.to_graph()
-        base = len(clique_mask_list(p, r))
-        scored.append((base + len(clique_mask_list(p, r - 1)), base, p))
+        base = count_cliques(p, r)
+        scored.append((base + count_cliques(p, r - 1), base, p))
     scored.sort(key=lambda t: -t[0])  # stable, so ties keep the level's key order
     best, winners, visited = -1, [], 0
     for bound, base, p in scored:
@@ -342,14 +342,9 @@ def _last_level_maxima(parents: list[CanonicalForm], r: int, family: ForbiddenFa
             return best, winners, visited, False
         visited += 1
         lists = _clique_lists(p, family, r - 1)
-        reps, lower = subset_orbit_reps(p), lists[r - 1]
-        candidates = sorted(
-            ((base + sum(c & s == c for c in lower), s) for s in reps), reverse=True
-        )
-        for score, s in candidates:
-            if score < max(best, 1):
-                break
-            child = _free_child(p, lists, s, family)
+        for s in _least_degree_reps(p):
+            score = base + sum(c & s == c for c in lists[r - 1])
+            child = _free_child(p, lists, s, family) if score >= max(best, 1) else None
             if child is not None:
                 if score > best:
                     best, winners = score, []

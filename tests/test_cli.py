@@ -329,6 +329,9 @@ def test_missing_input_file_is_exit_2(capsys, tmp_path):
     for spec in (str(tmp_path / "absent.g6"), "absent.g6", "graphs/k6"):
         assert main(["count", "--input", spec, "--r", "3"]) == 2
         assert f"no such input file: {spec}" in capsys.readouterr().err
+    # a path that exists but cannot be read as text
+    assert main(["count", "--input", str(tmp_path), "--r", "3"]) == 2
+    assert f"cannot read input file {tmp_path}: " in capsys.readouterr().err
 
 
 def test_huge_exact_orders_exit_3_at_once(capsys):

@@ -386,6 +386,25 @@ def test_generation_canonicalizes_only_least_degree_children(monkeypatch):
     clear_generation_cache()
 
 
+def test_bound_pass_checks_only_least_degree_children(monkeypatch):
+    # with levels 0..7 cached, the bound pass of n = 8 tests for freeness only
+    # the least-degree children that reach the best score so far
+    clear_generation_cache()
+    search._generation_levels(LEMMA_FAMILY, 7, None, 1)
+    free_child = search._free_child
+    calls = []
+
+    def counting(parent, lists, smask, family):
+        calls.append(parent.n)
+        return free_child(parent, lists, smask, family)
+
+    monkeypatch.setattr(search, "_free_child", counting)
+    rep = exact_ex(8, 4, LEMMA_FAMILY)
+    assert (rep.maximum, rep.examined) == (9, LEVEL_COUNTS["B(4,1),H1,K(5)"][1])
+    assert len(calls) == 30 and set(calls) == {7}
+    clear_generation_cache()
+
+
 def test_generation_examines_every_candidate_at_n8():
     clear_generation_cache()
     rep = exact_ex(8, 3, BOWTIE_FREE)
@@ -408,6 +427,25 @@ def test_generation_keeps_its_outputs():
             rep = exact_ex(8, r, parse_family(spec), jobs=jobs)
             got = (rep.maximum, rep.examined, tuple(w.key.hex() for w in rep.witnesses))
             assert rep.exhaustive and got == want, (spec, jobs)
+    clear_generation_cache()
+
+
+def test_generation_keeps_its_outputs_at_n9():
+    # (family, r) -> (maximum, examined, witnesses, SHA-256 of their
+    # space-joined keys) at n = 9, past the all-subsets oracle's n <= 7,
+    # recorded when the bound pass tried every orbit representative
+    recorded = {
+        ("B(3,1)", 3): (8, 644_827, 23,
+                        "0f017d8fdfd65c88abe0ecfbad37b014dd6fe027a9156817a82bc24d34ddb727"),
+        ("B(4,1),H1,K(5)", 4): (12, 2_935_803, 1,  # the one key is 03fde7fff0
+                                "c5f9c6ba771e2bc89f3b93c302386afb7f7fa88fd0443066e669590288f09a26"),
+    }
+    for (spec, r), want in recorded.items():
+        clear_generation_cache()
+        rep = exact_ex(9, r, parse_family(spec))
+        keys = " ".join(w.key.hex() for w in rep.witnesses).encode()
+        got = (rep.maximum, rep.examined, len(rep.witnesses), hashlib.sha256(keys).hexdigest())
+        assert rep.exhaustive and got == want, spec
     clear_generation_cache()
 
 
