@@ -584,14 +584,90 @@ def _carry(
     return cur, kcount
 
 
+def _shuffled_positions(count: int, rng):
+    """Where `rng.shuffle` would move each item of a list of `count`:
+    pos[i] is the final place of item i.  The same Fisher-Yates pass makes
+    the same `getrandbits` draws, rejections included, so rng ends in the
+    state the shuffle leaves; with no rng every item stays put."""
+    if rng is None:
+        return range(count)
+    getrandbits = rng.getrandbits
+    held = list(range(count))
+    pos = list(held)
+    hi = count - 1
+    while hi > 0:
+        # places lo..hi draw below i + 1 with the same number of bits, k
+        k = (hi + 1).bit_length()
+        lo = max(1, (1 << (k - 1)) - 1)
+        for i in range(hi, lo - 1, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            # place i is final: it takes the item at j, which takes i's
+            pos[held[j]] = i
+            held[j] = held[i]
+        hi = lo - 1
+    if count:
+        pos[held[0]] = 0
+    return pos
+
+
+def _single_moves(cur: Graph, kcount: list[int], rng):
+    """The single clones (src, (u,)) that raise the count, in the order a
+    stable sort by gain, best first, gives the list of them all, u then src
+    ascending, after `rng.shuffle`: the same order and the same draws, but
+    only the gain groups the caller reaches are built.
+
+    With m_u the vertices outside u's row in more r-cliques than u, move
+    (src, u) has index offs[u] + |m_u below src| in that list, and its
+    place after the shuffle comes from `_shuffled_positions`.  The group of
+    gain g is the moves onto u from level[kcount[u] + g], ordered by place;
+    with no rng, by least target, then least source."""
+    level: dict[int, int] = {}
+    members: dict[int, list[int]] = {}
+    for v, c in enumerate(kcount):
+        level[c] = level.get(c, 0) | 1 << v
+        members.setdefault(c, []).append(v)
+    counts = sorted(level)
+    above, more = {}, 0
+    for c in reversed(counts):
+        above[c] = more
+        more |= level[c]
+    masks, offs, total = [], [], 0
+    for u, row in enumerate(cur.adj):
+        m = above[kcount[u]] & ~row
+        masks.append(m)
+        offs.append(total)
+        total += m.bit_count()
+    pos = _shuffled_positions(total, rng)
+    lows: dict[int, list[int]] = {}  # gain -> the counts c with c + gain a count
+    for i, c in enumerate(counts):
+        for d in counts[i + 1 :]:
+            lows.setdefault(d - c, []).append(c)
+    for gain in sorted(lows, reverse=True):
+        group = []
+        for c in lows[gain]:
+            top = level[c + gain]
+            for u in members[c]:
+                m, base = masks[u], offs[u]
+                t = m & top
+                while t:
+                    low = t & -t
+                    t ^= low
+                    group.append((pos[base + (m & (low - 1)).bit_count()], low.bit_length() - 1, u))
+        group.sort()
+        for _, src, u in group:
+            yield src, (u,)
+
+
 def _paired_moves(cur: Graph, kcount: list[int], target: list[int], rng):
     """The paired clones (y, (x, z)) that raise the count: y over both ends
     of an edge among its non-neighbours, best gain first, then least (y, x,
-    z).  Listed once the singles have failed; the shuffle never changes this
-    total order, but advances the rng that later shuffles read.  A pair's
-    count is at most the lesser of its ends', so a gain needs both ends'
-    counts below 2·kcount[y]; only those ends are walked, and the pair
-    counts are made at the first such edge."""
+    z).  Listed once the singles have failed; rng makes the draws a shuffle
+    of the list would, which never changes this total order but moves the
+    rng on for later steps.  A pair's count is at most the lesser of its
+    ends', so a gain needs both ends' counts below 2·kcount[y]; only those
+    ends are walked, and the pair counts are made at the first such edge."""
     pair_k = None
     under: dict[int, int] = {}
     moves = []
@@ -607,8 +683,7 @@ def _paired_moves(cur: Graph, kcount: list[int], target: list[int], rng):
                 gain = t - kcount[x] - kcount[z] + pair_k[(x, z)]
                 if gain > 0:
                     moves.append((-gain, y, x, z))
-    if rng is not None:
-        rng.shuffle(moves)
+    _shuffled_positions(len(moves), rng)
     moves.sort()
     for _, y, x, z in moves:
         yield y, (x, z)
@@ -623,9 +698,10 @@ def symmetrize(
     keeps the graph family-free; when no single move improves, tries paired
     clones over the two ends of an edge.  The count strictly increases with
     every accepted move, so termination is guaranteed.  A seed randomizes
-    the order among equally good moves; by default ties break toward the
-    lexicographically smallest move.  The clique lists are made after the
-    first cleanup and carried across the moves by `_carry`.
+    the order among equally good moves; by default a tie between single
+    moves goes to the least target, then the least source, and one between
+    paired moves to the least (source, target pair).  The clique lists are
+    made after the first cleanup and carried across the moves by `_carry`.
     """
     if not is_free(g, family):
         raise ValueError("symmetrize requires a family-free starting graph")
@@ -646,27 +722,9 @@ def symmetrize(
         if not target:
             break  # every clone gain is a difference of clique counts, all 0
 
-        # above[k]: the vertices in more than k r-cliques
-        level: dict[int, int] = {}
-        for v, c in enumerate(kcount):
-            level[c] = level.get(c, 0) | 1 << v
-        above, more = {}, 0
-        for k in sorted(level, reverse=True):
-            above[k] = more
-            more |= level[k]
-        singles = []
-        for u, row in enumerate(cur.adj):
-            m = above[kcount[u]] & ~row
-            while m:
-                low = m & -m
-                singles.append((low.bit_length() - 1, (u,)))
-                m ^= low
-        if rng is not None:
-            rng.shuffle(singles)
-        singles.sort(key=lambda move: kcount[move[1][0]] - kcount[move[0]])
-
         books_ok: dict[int, bool] = {}
-        for src, targets in chain(singles, _paired_moves(cur, kcount, target, rng)):
+        moves = chain(_single_moves(cur, kcount, rng), _paired_moves(cur, kcount, target, rng))
+        for src, targets in moves:
             examined += 1
             cand = _clone_free(cur, src, targets, family, cliques_by_r, books_ok)
             if cand is not None:

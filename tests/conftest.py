@@ -10,7 +10,9 @@ import itertools
 import hypothesis
 from hypothesis import strategies as st
 
+from booklab.canonical import subset_orbit_reps, vertex_orbit_reps
 from booklab.graphs import Graph, from_edges, from_mask
+from booklab.patterns import is_free
 
 hypothesis.settings.register_profile("default", deadline=None)
 hypothesis.settings.register_profile("thorough", deadline=None, max_examples=400)
@@ -150,3 +152,26 @@ def oracle_beta(r: int, s: int) -> int:
         if not hit:
             best = max(best, len(parts))
     return best
+
+
+def orbit_double_count(lower, upper, family) -> tuple[int, int]:
+    """Both sides of the orbit double count between the free classes on k
+    vertices (lower) and on k + 1 (upper), lists of canonical forms.
+
+    Deleting a vertex v of a free class C on k + 1 vertices leaves a free
+    parent P and v's neighbourhood S, and two vertices of C give isomorphic
+    pairs (P, S) exactly when an automorphism of C maps one to the other.
+    So when both lists are whole levels, the Aut(P)-orbits of subsets S with
+    P + S free, summed over lower (the left side, each child decided by
+    the full `is_free`), number the Aut(C)-orbits of vertices summed over
+    upper (the right side).  Neither side uses the level builder's
+    least-degree rule or its incremental child check."""
+    left = 0
+    for cf in lower:
+        p = cf.to_graph()
+        k = p.n
+        for s in subset_orbit_reps(p):
+            rows = tuple(row | (s >> i & 1) << k for i, row in enumerate(p.adj))
+            left += is_free(Graph(k + 1, (*rows, s)), family)
+    right = sum(len(vertex_orbit_reps(cf.to_graph())) for cf in upper)
+    return left, right

@@ -52,7 +52,7 @@ from booklab.search import (
     symmetrize,
 )
 
-from conftest import graphs, graphs_with_vertex_pair
+from conftest import graphs, graphs_with_vertex_pair, orbit_double_count
 
 BOWTIE_FREE = parse_family("B(3,1)")
 LEMMA_FAMILY = parse_family("B(4,1),H1,K(5)")
@@ -447,6 +447,41 @@ def test_generation_keeps_its_outputs_at_n9():
         got = (rep.maximum, rep.examined, len(rep.witnesses), hashlib.sha256(keys).hexdigest())
         assert rep.exhaustive and got == want, spec
     clear_generation_cache()
+
+
+# the differential grid: (family, last level checked, the two sides' sum
+# between that level and the one below)
+ORBIT_COUNT_GRID = [
+    ("K(1)", 7, 0), ("K(2)", 7, 1), ("K(3)", 7, 431), ("K(4)", 7, 3_394), ("K(5)", 7, 4_883),
+    ("B(2,0)", 7, 19), ("B(2,1)", 7, 7), ("B(3,0)", 7, 3_119), ("B(3,1)", 8, 13_523),
+    ("B(3,2)", 7, 1_151), ("B(4,1)", 8, 74_258), ("B(4,2)", 7, 4_722), ("H1", 7, 5_045),
+    ("H2", 7, 4_955), ("B(4,1),H1,K(5)", 8, 71_197),
+]
+
+
+def _check_orbit_double_count(spec, top, last):
+    # a lost or split class, a key shared by two classes or a wrong orbit
+    # table breaks the identity at some level
+    family = parse_family(spec)
+    clear_generation_cache()
+    levels, _, completed = search._generation_levels(family, top, None, 1)
+    clear_generation_cache()
+    assert completed
+    for k in range(top):
+        left, right = orbit_double_count(levels[k], levels[k + 1], family)
+        assert left == right, (k, left, right)
+    assert left == last
+
+
+@pytest.mark.parametrize("spec, top, last", ORBIT_COUNT_GRID)
+def test_levels_pass_the_orbit_double_count(spec, top, last):
+    _check_orbit_double_count(spec, top, last)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("spec, last", [("B(4,1)", 1_861_164), ("B(4,1),H1,K(5)", 1_774_372)])
+def test_level_9_passes_the_orbit_double_count(spec, last):
+    _check_orbit_double_count(spec, 9, last)
 
 
 CHILD_FAMILIES = {
@@ -1021,18 +1056,80 @@ def test_climbs_with_paired_moves_keep_their_outputs(monkeypatch):
     assert digest.hexdigest() == PAIRED_CLIMBS_SHA256
 
 
-class _CountingRandom(random.Random):
-    """Counts its shuffles: the climb shuffles once or twice per step."""
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+def test_shuffled_positions_are_the_places_random_shuffle_gives(seed):
+    for count in [*range(65), 387, 1_560]:
+        rng, want_rng = random.Random(seed), random.Random(seed)
+        items = list(range(count))
+        want_rng.shuffle(items)
+        pos = search._shuffled_positions(count, rng)
+        assert [items[p] for p in pos] == list(range(count)), count
+        assert rng.getstate() == want_rng.getstate(), count
+        assert search._shuffled_positions(count, None) == range(count)
 
-    shuffles = 0
 
-    def shuffle(self, x):
-        _CountingRandom.shuffles += 1
-        super().shuffle(x)
+def eager_single_moves(cur, kcount, rng):
+    """The climb's single moves as the climb once ordered them: every clone
+    of a vertex over a non-neighbour in fewer r-cliques listed, target then
+    source ascending, shuffled by rng and stable-sorted by gain, best
+    first."""
+    moves = [(src, (u,)) for u, row in enumerate(cur.adj) for src in range(cur.n)
+             if kcount[src] > kcount[u] and not row >> src & 1]
+    if rng is not None:
+        rng.shuffle(moves)
+    moves.sort(key=lambda move: kcount[move[1][0]] - kcount[move[0]])
+    return moves
+
+
+def _copy_rng(state):
+    if state is None:
+        return None
+    rng = random.Random()
+    rng.setstate(state)
+    return rng
+
+
+@pytest.mark.parametrize("spec, r", [("B(4,1),H1,K(5)", 4), ("B(3,1)", 3)])
+def test_climb_moves_keep_the_order_and_draws_of_a_shuffled_sorted_list(monkeypatch, spec, r):
+    # at every step of seeded and unseeded climbs the lazy single moves are
+    # the eager list in full and leave the rng where its shuffle did, and
+    # the paired moves draw what a shuffle of their list would
+    family = parse_family(spec)
+    single_moves, paired_moves = search._single_moves, search._paired_moves
+    checked = Counter()
+
+    def singles(cur, kcount, rng):
+        state = None if rng is None else rng.getstate()
+        got_rng, want_rng = _copy_rng(state), _copy_rng(state)
+        assert list(single_moves(cur, kcount, got_rng)) == eager_single_moves(cur, kcount, want_rng)
+        assert got_rng is None or got_rng.getstate() == want_rng.getstate()
+        checked["single", rng is None] += 1
+        return single_moves(cur, kcount, rng)
+
+    def paired(cur, kcount, target, rng):
+        state = None if rng is None else rng.getstate()
+        got_rng, want_rng = _copy_rng(state), _copy_rng(state)
+        got = list(paired_moves(cur, kcount, target, got_rng))
+        if want_rng is not None:
+            want_rng.shuffle(list(got))
+            assert got_rng.getstate() == want_rng.getstate()
+        checked["paired", rng is None] += 1
+        return paired_moves(cur, kcount, target, rng)
+
+    monkeypatch.setattr(search, "_single_moves", singles)
+    monkeypatch.setattr(search, "_paired_moves", paired)
+    for n in (12, 16, 20, 25, 30, 40):
+        for seed in (None, 1, 2, 3):
+            start = random_free_graph(n, family, random.Random(100 * n + (seed or 0)))
+            symmetrize(start, r, family, seed=seed)
+    assert set(checked) == {(kind, unseeded) for kind in ("single", "paired")
+                            for unseeded in (False, True)}
+    assert checked["single", False] > 100
 
 
 @pytest.mark.parametrize("spec, n, start, p, seed, refusals", [
-    # budget -> shuffles made before the refusal (None: the climb finishes);
+    # budget -> shuffles made before the refusal (None: the climb finishes),
+    # one per step for the singles and one when the paired moves are listed;
     # each budget holds up to the next one, recorded with the lists made
     # afresh at each step. Triangles bind the first climb, K4s the second.
     ("B(5,3),B(3,0)", 10, 10002, 0.8, 2,
@@ -1046,18 +1143,25 @@ def test_symmetrize_refuses_at_the_step_whose_lists_pass_the_budget(
 ):
     family = parse_family(spec)
     g = random_free_graph(n, family, random.Random(start), p)
-    monkeypatch.setattr(search, "random", SimpleNamespace(Random=_CountingRandom))
+    shuffled_positions = search._shuffled_positions
+    shuffles = []
+
+    def counting(count, rng):
+        shuffles.append(count)
+        return shuffled_positions(count, rng)
+
+    monkeypatch.setattr(search, "_shuffled_positions", counting)
     bounds = sorted(refusals)
     for lo, hi in zip(bounds, bounds[1:] + [bounds[-1] + 1]):
         for budget in {lo, hi - 1}:
             monkeypatch.setattr("booklab.graphs.CLIQUE_BUDGET", budget)
-            _CountingRandom.shuffles = 0
+            shuffles.clear()
             if refusals[lo] is None:
                 symmetrize(g, 4, family, seed=seed)
                 continue
             with pytest.raises(ResourceLimitError):
                 symmetrize(g, 4, family, seed=seed)
-            assert _CountingRandom.shuffles == refusals[lo], budget
+            assert len(shuffles) == refusals[lo], budget
 
 
 def test_random_free_graph_is_free():
