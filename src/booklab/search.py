@@ -29,6 +29,7 @@ import os
 import random
 import time
 from collections import Counter
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
@@ -109,19 +110,22 @@ def _check_work(count: int, exp: int, what: str) -> None:
         )
 
 
-def _run_shards(fn, items, jobs, *args):
-    """Map fn over at most `jobs` contiguous chunks of items, each passed as
-    (chunk, *args); a process pool, of at most one worker per CPU, is used
-    only for more than one chunk, and its modules are imported only then,
-    so a run that does not shard never loads `multiprocessing`."""
-    step = max(1, -(-len(items) // max(1, jobs)))
-    shards = [(items[lo : lo + step], *args) for lo in range(0, len(items), step)]
-    if len(shards) <= 1:
-        return list(map(fn, shards))
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=min(len(shards), os.cpu_count() or 1)) as pool:
-        return list(pool.map(fn, shards))
+@contextmanager
+def _sharder(jobs: int):
+    """Yield shard(fn, items, *args): fn((chunk, *args)) for each of at most
+    `jobs` chunks dealt round-robin from items, so that no chunk's share
+    hangs on the order of items.  For jobs > 1 the chunks go to one process
+    pool, of at most one worker per CPU, held until the context ends and
+    imported only then, so a run at jobs 1 never loads `multiprocessing`."""
+    jobs = max(1, jobs)
+    pool, mapper = nullcontext(), map
+    if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1))
+        mapper = pool.map
+    with pool:
+        yield lambda fn, items, *args: list(
+            mapper(fn, [(items[i::jobs], *args) for i in range(min(jobs, len(items)))]))
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +137,7 @@ def _labeled_shard(args):
     wit: set[CanonicalForm] = set()
     examined = 0
     for mask in masks:
-        if deadline is not None and (mask & 0xFFF) == 0 and time.monotonic() > deadline:
+        if deadline is not None and (examined & 0xFFF) == 0 and time.monotonic() > deadline:
             break
         examined += 1
         g = from_mask(n, mask)
@@ -166,10 +170,8 @@ def brute_force_labeled(
         return _finish_witnesses(n, r, family, 0, set(), 0, engine, True)
     _check_work(1, n * (n - 1) // 2, f"the labeled sweep at n={n}")
     deadline = None if max_seconds is None else time.monotonic() + max_seconds
-    total = 1 << (n * (n - 1) // 2)
-    results = _run_shards(
-        _labeled_shard, range(total), jobs if total >= 4096 else 1, n, r, family, deadline
-    )
+    with _sharder(jobs) as shard:
+        results = shard(_labeled_shard, range(1 << (n * (n - 1) // 2)), n, r, family, deadline)
     best = max(res[0] for res in results)
     wit = set().union(*(res[1] for res in results if res[0] == best))
     examined = sum(res[2] for res in results)
@@ -289,22 +291,22 @@ def _generation_levels(family: ForbiddenFamily, n: int, deadline, jobs: int):
     if family not in _GEN_CACHE:
         # the cache holds one family's levels
         _GEN_CACHE.clear()
-        base = empty_graph(0)
-        _GEN_CACHE[family] = [[canonical_form(base)] if is_free(base, family) else []]
+        # a pattern has a vertex and a book three, so the 0-vertex graph is free
+        _GEN_CACHE[family] = [[canonical_form(empty_graph(0))]]
     levels = _GEN_CACHE[family]
-    while len(levels) <= n:
-        k = len(levels) - 1
-        _check_work(len(levels[k]), n - 1,
-                    f"building level {n} from at least level {k}'s {len(levels[k]):,} classes")
-        parents = [cf.to_graph() for cf in levels[k]]
-        sharded = jobs > 1 and len(parents) >= 4 * jobs and k >= 5
-        results = _run_shards(_canonical_shard, parents, jobs if sharded else 1, family, deadline)
-        level = sorted(set().union(*(res[0] for res in results)), key=lambda cf: cf.key)
-        extended = sum(res[1] for res in results)
-        if extended < len(parents):
-            examined = sum(len(lv) << j for j, lv in enumerate(levels[:k])) + (extended << k)
-            return levels + [level], examined, False
-        levels.append(level)
+    with _sharder(jobs) as shard:
+        while len(levels) <= n:
+            k = len(levels) - 1
+            _check_work(len(levels[k]), n - 1,
+                        f"building level {n} from at least level {k}'s {len(levels[k]):,} classes")
+            parents = [cf.to_graph() for cf in levels[k]]
+            results = shard(_canonical_shard, parents, family, deadline)
+            level = sorted(set().union(*(res[0] for res in results)), key=lambda cf: cf.key)
+            extended = sum(res[1] for res in results)
+            if extended < len(parents):
+                examined = sum(len(lv) << j for j, lv in enumerate(levels[:k])) + (extended << k)
+                return levels + [level], examined, False
+            levels.append(level)
     return levels, sum(len(lv) << j for j, lv in enumerate(levels[:n])), True
 
 
@@ -412,8 +414,6 @@ def exact_ex(
     """
     if n < 0:
         raise ValueError("negative vertex count")
-    if r < 1:
-        raise ValueError("clique size must be >= 1")
     if engine == "canonical":
         return canonical_generation(n, r, family, max_seconds=max_seconds, jobs=jobs)
     if engine == "labeled":

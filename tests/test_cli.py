@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from booklab.cli import build_parser, main
-from booklab.formats import graph6_decode, graph6_encode
+from booklab.constructions import b42_construction
+from booklab.formats import graph6_decode, graph6_encode, parse_graph_text
 from booklab.graphs import complete_graph, count_cliques, disjoint_union, turan_graph
 from booklab.patterns import h1_graph
 from booklab.search import clear_generation_cache
@@ -109,6 +110,39 @@ def test_construct_book_stdout(capsys):
 def test_construct_partition_requires_parts(capsys):
     code, _ = run(capsys, "construct", "--kind", "partition", "--n", "12")
     assert code == 2
+
+
+@pytest.mark.parametrize("given", [(), ("--r", "4"), ("--s", "1")])
+def test_construct_book_requires_r_and_s(capsys, given):
+    assert main(["construct", "--kind", "book", "--n", "10", *given]) == 2
+    assert "needs --r and --s" in capsys.readouterr().err
+
+
+def test_construct_verifies_against_a_given_family(capsys):
+    # book_extremal(10, 4, 1) is K2 joined to T2(8): B(4,1)-free, but it holds K4s
+    args = ("construct", "--kind", "book", "--n", "10", "--r", "4", "--s", "1")
+    sidecar = json.loads(run(capsys, *args, "--family", "B(4,1),H1,K(5)")[1].splitlines()[-1])
+    assert sidecar["family"] == "B(4,1),H1,K(5)" and sidecar["verified_free"] is True
+    sidecar = json.loads(run(capsys, *args, "--family", "K(4)")[1].splitlines()[-1])
+    assert sidecar["family"] == "K(4)" and sidecar["verified_free"] is False
+    assert sidecar["predicted_count"] == 16
+
+
+@pytest.mark.parametrize("fmt", ["g6", "edges"])
+def test_commands_read_a_graph_file_written_by_construct(capsys, tmp_path, fmt):
+    path = tmp_path / f"g.{fmt}"
+    code, _ = run(capsys, "construct", "--kind", "b42", "--n", "12", "--format", fmt,
+                  "--out", str(path))
+    assert code == 0 and path.exists()
+    g6 = graph6_encode(b42_construction(12))
+    code, out = run(capsys, "count", "--input", str(path), "--r", "4")
+    assert code == 0 and out.strip() == "12"
+    assert run_json(capsys, "free", "--input", str(path), "--forbid", "B(4,2)")["free"] is True
+    assert run_json(capsys, "free", "--input", str(path), "--forbid", "K(4)")["free"] is False
+    code, out = run(capsys, "convert", "--input", str(path), "--to", "g6")
+    assert code == 0 and out.strip() == g6
+    code, out = run(capsys, "convert", "--input", str(path), "--to", "edges")
+    assert code == 0 and graph6_encode(parse_graph_text(out)) == g6
 
 
 @pytest.mark.parametrize(
@@ -291,6 +325,14 @@ def test_table_11_answers_at_its_bound(capsys):
 def test_table_21_answers_at_its_bound(capsys):
     rows = run_table(capsys, "table", "--theorem", "2.1", "--n-min", "9", "--n-max", "9")
     assert [(r["n"], r["formula"], r["computed"], r["match"]) for r in rows] == [(9, 12, 12, True)]
+
+
+def test_table_13_construction(capsys):
+    rows = run_table(capsys, "table", "--theorem", "1.3-construction", "--n-max", "30")
+    got = [(r["n"], r["formula"], r["computed"], r["match"]) for r in rows]
+    # n starts at 4 whatever --n-min says; the count of K2 v T2(n-2) is floor((n-2)^2/4)
+    assert got == [(n, (n - 2) ** 2 // 4, (n - 2) ** 2 // 4, True) for n in range(4, 31)]
+    assert all(r["schema"] == "booklab/1" and r["table"] == "1.3-construction" for r in rows)
 
 
 def test_table_17_lower(capsys):

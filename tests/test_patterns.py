@@ -236,6 +236,15 @@ def test_parse_family_roundtrip():
     assert parse_family("K(3)").patterns[0] == complete_graph(3)
 
 
+def test_family_to_text_names_h2_a_relabeled_h1_and_other_patterns():
+    # H1 and H2 are named by isomorphism class; any other pattern by its graph6
+    relabeled = h1_graph().permute(random.Random(1).sample(range(7), 7))
+    assert relabeled != h1_graph()
+    path = from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    fam = ForbiddenFamily((BookSpec(3, 1),), (h2_graph(), relabeled, path))
+    assert family_to_text(fam) == "B(3,1),H2,H1,g6:Ch"
+
+
 def test_parse_family_rejects():
     assert parse_family("") == ForbiddenFamily()
     with pytest.raises(ValueError):

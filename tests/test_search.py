@@ -83,15 +83,43 @@ def test_labeled_examines_every_mask():
     assert rep.witnesses == (canonical_form(complete_graph(4)),)
 
 
-def test_sharded_runs_match_serial():
+def test_sharded_runs_match_serial(monkeypatch):
+    # a real process pool whose map records how many chunks each call deals
+    from concurrent.futures import ProcessPoolExecutor
+
+    chunks = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def map(self, fn, items):
+            chunks.append(len(items))
+            return super().map(fn, items)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", CountingPool)
     a = brute_force_labeled(5, 3, BOWTIE_FREE, jobs=1)
+    assert chunks == []
     b = brute_force_labeled(5, 3, BOWTIE_FREE, jobs=3)
+    assert chunks == [3]
     assert (a.maximum, a.witnesses, a.examined) == (b.maximum, b.witnesses, b.examined)
     clear_generation_cache()
     c = canonical_generation(7, 3, BOWTIE_FREE, jobs=2)
+    # one map per level built, 1..6; levels 0 and 1 hold one parent each
+    assert chunks[1:] == [1, 1, 2, 2, 2, 2]
     clear_generation_cache()
     d = canonical_generation(7, 3, BOWTIE_FREE, jobs=1)
     assert (c.maximum, c.witnesses, c.examined) == (d.maximum, d.witnesses, d.examined)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_labeled_deadline_cuts_every_chunk(jobs):
+    # the sweep of 2^21 graphs takes far longer than the deadline; at jobs 2
+    # one chunk holds only odd masks, and it too must look at the clock, so
+    # neither chunk of 2^20 finishes
+    exact = exact_ex(7, 3, BOWTIE_FREE).maximum
+    clear_generation_cache()
+    rep = brute_force_labeled(7, 3, BOWTIE_FREE, max_seconds=0.3, jobs=jobs)
+    assert not rep.exhaustive
+    assert rep.examined < 2**20
+    assert rep.maximum <= exact
 
 
 def test_exact_ex_validates():
@@ -647,7 +675,7 @@ def test_process_pool_is_capped_at_the_cpu_count(monkeypatch):
             return map(fn, items)
 
     serial = brute_force_labeled(6, 3, BOWTIE_FREE)
-    # _run_shards imports the pool when it shards, so the stub replaces it at its source
+    # _sharder imports the pool at jobs > 1, so the stub replaces it at its source
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     wide = brute_force_labeled(6, 3, BOWTIE_FREE, jobs=64)
     assert sizes == [min(64, os.cpu_count() or 1)]
@@ -928,6 +956,8 @@ def test_symmetrize_fixed_point():
 def test_symmetrize_rejects_non_free_start():
     with pytest.raises(ValueError):
         symmetrize(complete_graph(5), 4, LEMMA_FAMILY)
+    with pytest.raises(ValueError, match="cleanup needs r >= 2"):
+        symmetrize(complete_graph(3), 1, LEMMA_FAMILY)
 
 
 def test_symmetrize_cannot_bootstrap_from_zero():
