@@ -13,7 +13,6 @@ from functools import lru_cache, reduce
 from operator import itemgetter, or_
 from typing import Iterator, Sequence
 
-from . import canonical  # a cycle: canonical imports this module, and booklab loads it first
 from .errors import ResourceLimitError
 
 #: Soft guard against absurd inputs.  Constructions in this package live in
@@ -463,12 +462,6 @@ def contains_subgraph(g: Graph, h: Graph) -> bool:
 
 
 def contains_subgraph_at(g: Graph, h: Graph, host_vertex: int) -> bool:
-    """Does some embedding of h cover the given host vertex?
-
-    An embedding through the host vertex composed with an automorphism of h
-    is another one, so one pinned vertex per orbit suffices.
-    """
-    for p in canonical.vertex_orbit_reps(h):
-        if find_subgraph(g, h, pin=(p, host_vertex)) is not None:
-            return True
-    return False
+    """Does some embedding of h cover the given host vertex?  Tries each
+    pattern vertex pinned there in turn."""
+    return any(find_subgraph(g, h, pin=(p, host_vertex)) is not None for p in range(h.n))

@@ -11,6 +11,7 @@ import re
 from dataclasses import dataclass, field
 
 from .canonical import canonical_form
+from .formats import graph6_decode, graph6_encode
 from .graphs import (
     Graph,
     VertexSet,
@@ -338,20 +339,22 @@ def h2_graph() -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# family mini-language: comma-separated terms  B(r,s) | K(m) | H1 | H2
+# family mini-language: comma-separated terms  B(r,s) | K(m) | H1 | H2 | g6:<graph6>
 
 _TERM_RE = re.compile(
     r"""^\s*(?:
         B\(\s*(?P<br>\d+)\s*,\s*(?P<bs>\d+)\s*\)
       | K\(\s*(?P<km>\d+)\s*\)
       | (?P<h>H[12])
+      | g6:(?P<g6>\S+)
     )\s*$""",
     re.VERBOSE | re.IGNORECASE,
 )
 
 
 def parse_family(text: str) -> ForbiddenFamily:
-    """Parse a family spec such as  "B(4,1),H1,K(5)".  Empty text means no constraints."""
+    """Parse a family spec such as  "B(4,1),H1,K(5)" or "B(3,1),g6:Ch", whose
+    g6 term is any pattern by its graph6.  Empty text means no constraints."""
     books: list[BookSpec] = []
     patterns: list[Graph] = []
     if not text.strip():
@@ -385,6 +388,8 @@ def parse_family(text: str) -> ForbiddenFamily:
             if mval < 1:
                 raise ValueError("K(m) needs m >= 1")
             patterns.append(complete_graph(mval))
+        elif m.group("g6") is not None:
+            patterns.append(graph6_decode(m.group("g6")))
         else:
             patterns.append(h1_graph() if m.group("h").upper() == "H1" else h2_graph())
     return ForbiddenFamily(tuple(books), tuple(patterns))
@@ -398,8 +403,6 @@ def pattern_name(p: Graph) -> str:
         return "H1"
     if p.n == 6 and canonical_form(p) == canonical_form(h2_graph()):
         return "H2"
-    from .formats import graph6_encode
-
     return f"g6:{graph6_encode(p)}"
 
 

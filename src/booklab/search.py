@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
 
-from .canonical import CanonicalForm, canonical_form, nonedge_orbit_reps, subset_orbit_reps
+from .canonical import CanonicalForm, canonical_form, nonedge_orbit_reps, subset_orbit_reps, vertex_orbit_reps
 from .errors import ResourceLimitError
 from .graphs import (
     Graph,
@@ -43,16 +43,13 @@ from .graphs import (
     _embed,
     _masks_from,
     clique_mask_list,
-    contains_subgraph_at,
     count_cliques,
     disjoint_union,
     empty_graph,
+    find_subgraph,
     from_edges,
     from_mask,
 )
-# not called here: perfbench/test_perfbench.py reads booklab.search.find_subgraph
-# to check that its tracer rebinds a name imported from graphs
-from .graphs import find_subgraph as find_subgraph
 from .patterns import BookScan, BookSpec, ForbiddenFamily, book_violation, is_free, violation_span
 
 #: Both engines refuse a run past this many candidate graphs (read at call time).
@@ -215,6 +212,9 @@ def _free_child(
     violating book pair or pattern embedding must involve it.  A new K_m
     through the new vertex is a K_{m-1} inside its neighborhood.  The child
     is built only for the pattern check, after the cliques and books pass.
+    An embedding through the new vertex composed with an automorphism of
+    the pattern is another one, so each pattern is searched with one vertex
+    per `vertex_orbit_reps` orbit pinned there.
     """
     k = parent.n
     for m in family.complete_sizes:
@@ -227,7 +227,9 @@ def _free_child(
             return None
     rows = [row | newbit if (smask >> i) & 1 else row for i, row in enumerate(parent.adj)]
     child = Graph(k + 1, (*rows, smask))
-    return None if any(contains_subgraph_at(child, p, k) for p in family.noncomplete) else child
+    hit = any(find_subgraph(child, p, pin=(q, k)) is not None
+              for p in family.noncomplete for q in vertex_orbit_reps(p))
+    return None if hit else child
 
 
 def _least_degree_reps(parent: Graph) -> list[int]:

@@ -211,6 +211,14 @@ def test_exact_small(capsys):
         assert count_cliques(w, 3) == data["maximum"]
 
 
+def test_exact_reports_a_graph6_family_that_parses_back(capsys):
+    from booklab.patterns import parse_family
+
+    data = run_json(capsys, "exact", "--n", "5", "--r", "3", "--forbid", "B(3,1),g6:Ch")
+    assert data["family"] == "B(3,1),g6:Ch"
+    assert parse_family(data["family"]) == parse_family("B(3,1),g6:Ch")
+
+
 def test_exact_engine_choice(capsys):
     a = run_json(capsys, "exact", "--n", "5", "--r", "3", "--forbid", "B(3,1)",
                  "--engine", "labeled")
@@ -353,6 +361,7 @@ def test_convert_roundtrip(capsys):
 def test_exit_codes(capsys):
     assert main(["count", "--input", "@@@nope", "--r", "3"]) == 2
     assert main(["free", "--input", K6, "--forbid", "B(9,9)"]) == 2
+    assert main(["free", "--input", K6, "--forbid", "g6:C~~"]) == 2
     assert main(["exact", "--n", "9", "--r", "3", "--forbid", "B(3,1)",
                  "--engine", "labeled"]) == 3
     # n < r answers 0 up to VERTEX_CAP, past which its witness cannot be built

@@ -32,6 +32,12 @@ def test_turan_clique_count_edge_cases():
     assert turan_clique_count(10, 3, 4) == 0  # more parts needed than exist
     assert turan_clique_count(0, 2, 1) == 0
     assert turan_clique_count(9, 3, 3) == 27
+    with pytest.raises(ValueError, match="at least one part"):
+        turan_clique_count(10, 0, 1)
+    with pytest.raises(ValueError, match="clique size"):
+        turan_clique_count(10, 3, -1)
+    with pytest.raises(ValueError, match="negative vertex count"):
+        turan_clique_count(-1, 3, 1)
 
 
 def test_book_extremal_shape_and_count():
@@ -49,6 +55,8 @@ def test_book_extremal_rejects_bad_regime():
         book_extremal(10, 4, 2)  # needs r >= 2s+1
     with pytest.raises(ValueError):
         book_extremal(3, 4, 1)  # n < r
+    with pytest.raises(ValueError, match="overlap s must be >= 0"):
+        book_extremal(10, 4, -1)
 
 
 @pytest.mark.parametrize("r", [3, 4, 5])
@@ -91,6 +99,8 @@ def test_partition_construction_rejects_offending_partition():
         partition_construction(12, Partition((2, 2)), 2)
     with pytest.raises(ValueError):
         partition_construction(12, Partition((2, 1)), 1)
+    with pytest.raises(ValueError, match="need n >= r"):
+        partition_construction(3, Partition((3, 1)), 2)
 
 
 @pytest.mark.parametrize("build", [k4_packing, b42_construction])

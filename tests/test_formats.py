@@ -44,6 +44,8 @@ def test_graph6_rejects_garbage():
         graph6_decode("B")  # body too short
     with pytest.raises(ValueError):
         graph6_decode("B~")  # padding bits must be zero
+    with pytest.raises(ValueError, match="truncated graph6 header"):
+        graph6_decode("~??")  # the long header needs three bytes after '~'
 
 
 @given(graphs(max_n=9))
@@ -62,6 +64,8 @@ def test_edge_list_format():
         edge_list_decode("2\n0 2\n")
     with pytest.raises(ValueError):
         edge_list_decode("x\n0 1\n")
+    with pytest.raises(ValueError, match="expected 'u v'"):
+        edge_list_decode("3\n0 1 2\n")
 
 
 def test_parse_graph_text_dispatch():

@@ -46,6 +46,21 @@ def test_from_edges_rejects_bad_input():
         from_edges(3, [(0, 3)])
     with pytest.raises(ValueError):
         from_edges(-1, [])
+    with pytest.raises(ValueError, match="at least 3 vertices"):
+        cycle_graph(2)
+    with pytest.raises(ValueError, match="not a permutation"):
+        path_graph(3).permute((0, 0, 1))
+
+
+def test_clique_kernels_reject_a_negative_size():
+    g = complete_graph(4)
+    with pytest.raises(ValueError, match="clique size must be >= 0"):
+        count_cliques(g, -1)
+    with pytest.raises(ValueError, match="clique size must be >= 0"):
+        clique_mask_list(g, -1)
+    masks = enumerate_clique_masks(g, -1)  # a generator: the check runs at the first next()
+    with pytest.raises(ValueError, match="clique size must be >= 0"):
+        next(masks)
 
 
 def test_vertex_set_basics():
@@ -204,6 +219,8 @@ def test_turan_part_sizes():
     assert turan_part_sizes(3, 5) == (1, 1, 1, 0, 0)
     with pytest.raises(ValueError):
         turan_part_sizes(3, 0)
+    with pytest.raises(ValueError, match="at least one part"):
+        turan_graph(3, 0)
 
 
 # every builder and codec rejects one vertex past the cap before allocating

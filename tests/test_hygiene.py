@@ -1,7 +1,7 @@
 """Code hygiene: every name that src/, tests/ or scripts/ imports is used,
 every module-level private function in src/ has a caller, no function
-nested in a src/ function keeps a cycle through its own name, and every
-script starts.
+nested in a src/ function keeps a cycle through its own name, the modules
+of src/booklab import each other without a cycle, and every script starts.
 
 A name counts as used when the module loads it somewhere, lists it in
 `__all__`, or re-exports it explicitly with the redundant alias form
@@ -12,6 +12,7 @@ import ast
 import os
 import subprocess
 import sys
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import pytest
@@ -147,6 +148,47 @@ def test_closure_scanner_sees_self_calls():
         "class C:\n    def method(self):\n        return self.method\n"
     )
     assert self_calling_closures(source) == [(2, "walk")]
+
+
+def relative_imports(sources: dict[str, str]) -> dict[str, set[str]]:
+    """Module -> the sibling modules it imports relatively (`from .x import
+    ...` or `from . import x`), at module level or inside a function."""
+    graph = {}
+    for name, source in sources.items():
+        deps = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                deps |= {node.module} if node.module else {a.name for a in node.names}
+        graph[name] = deps & sources.keys()
+    return graph
+
+
+def import_cycle(graph: dict[str, set[str]]) -> list[str]:
+    """One cycle of the graph, its first module repeated at the end; [] if none."""
+    try:
+        TopologicalSorter(graph).prepare()
+    except CycleError as exc:
+        return exc.args[1]
+    return []
+
+
+def test_src_imports_form_no_cycle():
+    sources = {path.stem: path.read_text() for path in (ROOT / "src" / "booklab").glob("*.py")}
+    cycle = import_cycle(relative_imports(sources))
+    assert not cycle, "modules import each other in a cycle: " + " -> ".join(cycle)
+
+
+def test_import_cycle_scanner_sees_cycles():
+    sources = {
+        "a": "from .b import x\nfrom . import __version__\n",
+        "b": "import os\n\ndef late():\n    from . import c\n",
+        "c": "from .a import y\nfrom .x.y import z\n",
+        "d": "from .a import w\nfrom booklab.c import v\n",
+    }
+    graph = relative_imports(sources)
+    assert graph == {"a": {"b"}, "b": {"c"}, "c": {"a"}, "d": {"a"}}
+    assert sorted(import_cycle(graph)[:-1]) == ["a", "b", "c"]
+    assert import_cycle(dict(graph, c=set())) == []
 
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)

@@ -25,6 +25,14 @@ def test_partition_validation():
         Partition((-1,))
 
 
+def test_enumeration_and_beta_reject_bad_arguments():
+    parts = enumerate_partitions(0)  # a generator: the check runs at the first next()
+    with pytest.raises(ValueError, match="r >= 1"):
+        next(parts)
+    with pytest.raises(ValueError, match="need 1 <= s < r"):
+        beta(3, 3)
+
+
 def test_partition_r_and_len():
     p = Partition((4, 2, 1))
     assert p.r == 7

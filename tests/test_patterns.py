@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import booklab
+from booklab.canonical import canonical_form
 from booklab.constructions import book_extremal
 from booklab.errors import ResourceLimitError
 from booklab.graphs import (
@@ -245,6 +246,28 @@ def test_family_to_text_names_h2_a_relabeled_h1_and_other_patterns():
     assert family_to_text(fam) == "B(3,1),H2,H1,g6:Ch"
 
 
+@pytest.mark.parametrize("patterns", [
+    (h2_graph(), from_edges(4, [(0, 1), (1, 2), (2, 3)])),
+    (complete_graph(4), cycle_graph(5)),
+    (cycle_graph(5), complete_graph(3), h2_graph()),
+])
+@pytest.mark.parametrize("books", [(), (BookSpec(3, 1), BookSpec(4, 2))])
+def test_parse_family_reads_back_family_to_text(books, patterns):
+    fam = ForbiddenFamily(books, patterns)
+    assert parse_family(family_to_text(fam)) == fam
+
+
+def test_parse_family_reads_graph6_terms():
+    p4 = from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    assert parse_family("g6:Ch") == parse_family(" G6:Ch ") == ForbiddenFamily((), (p4,))
+    assert parse_family("B(3,1),g6:Dhc") == ForbiddenFamily((BookSpec(3, 1),), (cycle_graph(5),))
+    # a relabeled H1 is named H1, which reads back as the listed H1
+    relabeled = h1_graph().permute(random.Random(1).sample(range(7), 7))
+    back = parse_family(family_to_text(ForbiddenFamily((), (relabeled,))))
+    assert back.patterns == (h1_graph(),)
+    assert canonical_form(back.patterns[0]) == canonical_form(relabeled)
+
+
 def test_parse_family_rejects():
     assert parse_family("") == ForbiddenFamily()
     with pytest.raises(ValueError):
@@ -257,6 +280,14 @@ def test_parse_family_rejects():
         parse_family("H3")
     with pytest.raises(ValueError):
         parse_family("B(3,1),,K(4)")
+    with pytest.raises(ValueError, match="at least one vertex"):
+        ForbiddenFamily((), (empty_graph(0),))
+    with pytest.raises(ValueError, match="at least one vertex"):
+        parse_family("g6:?")
+    with pytest.raises(ValueError, match="body length"):
+        parse_family("g6:C~~")
+    with pytest.raises(ValueError):
+        parse_family("g6:")
 
 
 def test_violation_span_finds_each_kind_of_check():

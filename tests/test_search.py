@@ -28,6 +28,7 @@ from booklab.graphs import (
     disjoint_union,
     empty_graph,
     enumerate_clique_masks,
+    find_subgraph,
     from_edges,
     join,
     turan_graph,
@@ -430,6 +431,26 @@ def test_bound_pass_checks_only_least_degree_children(monkeypatch):
     rep = exact_ex(8, 4, LEMMA_FAMILY)
     assert (rep.maximum, rep.examined) == (9, LEVEL_COUNTS["B(4,1),H1,K(5)"][1])
     assert len(calls) == 30 and set(calls) == {7}
+    clear_generation_cache()
+
+
+def test_generation_pins_one_vertex_per_pattern_orbit(monkeypatch):
+    # H1 has 3 vertex orbits, so each H1 check of a child pins at most 3 of
+    # its 7 vertices on the new vertex; pinning every vertex makes more calls
+    pinned = []
+
+    def counting(g, h, *, pin=None):
+        if pin is not None:
+            pinned.append(pin)
+        return find_subgraph(g, h, pin=pin)
+
+    monkeypatch.setattr(search, "find_subgraph", counting)
+    clear_generation_cache()
+    search._generation_levels(LEMMA_FAMILY, 7, None, 1)
+    assert len(pinned) == 4_678
+    pinned.clear()
+    assert exact_ex(8, 4, LEMMA_FAMILY).maximum == 9
+    assert len(pinned) == 66
     clear_generation_cache()
 
 
